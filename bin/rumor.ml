@@ -5,9 +5,8 @@
      broadcast   run one broadcast and report time/transmissions
      multi       broadcast several rumors over shared channels
      async       one broadcast under Poisson clocks (no lockstep rounds)
-     sweep       repeat a broadcast over sizes and seeds, print a table
-     churn       broadcast over a dynamic overlay with join/leave
-     heal        self-healing broadcast under a hostile fault+churn plan
+     estimate    min-of-exponentials gossip estimate of the network size
+     run         execute a scenario file (repeated broadcasts, summarised)
      chaos       seeded soak over random fault configs, invariants on
      replay      re-run a chaos repro artifact and diff its digest
      bench-check validate a BENCH_*.json telemetry file, diff --against
@@ -15,10 +14,16 @@
      load        fault-injecting load generator for a serve endpoint
      matrix      declarative scenario sweep grids with regression gates
 
-   broadcast, multi, async, sweep and robustness take --json to emit one
-   structured JSON document on stdout instead of the human tables;
-   broadcast, multi and async also take --trace-out FILE for an NDJSON
-   per-round dump. *)
+   Every sweep is a file: size grids, the fault x estimate frontier and
+   self-healing or churn points are scenario/matrix files under
+   scenarios/, executed by run and matrix. broadcast, run, matrix and
+   chaos decide whether a run stops at full coverage through one rule,
+   Scenario.effective_stop.
+
+   broadcast, multi and async take --json to emit one structured JSON
+   document on stdout instead of the human report, and --trace-out FILE
+   for an NDJSON per-round dump; matrix --json FILE writes a
+   rumor-bench/1 document. *)
 
 module Rng = Rumor_rng.Rng
 module Graph = Rumor_graph.Graph
@@ -26,21 +31,10 @@ module Traversal = Rumor_graph.Traversal
 module Metrics = Rumor_graph.Metrics
 module Spectral = Rumor_graph.Spectral
 module Regular = Rumor_gen.Regular
-module Classic = Rumor_gen.Classic
-module Gnp = Rumor_gen.Gnp
-module Product = Rumor_gen.Product
 module Engine = Rumor_sim.Engine
 module Fault = Rumor_sim.Fault
 module Trace = Rumor_sim.Trace
-module Params = Rumor_core.Params
-module Phase = Rumor_core.Phase
-module Algorithm = Rumor_core.Algorithm
-module Baselines = Rumor_core.Baselines
 module Run = Rumor_core.Run
-module Overlay = Rumor_p2p.Overlay
-module Churn = Rumor_p2p.Churn
-module Summary = Rumor_stats.Summary
-module Table = Rumor_stats.Table
 module Experiment = Rumor_stats.Experiment
 module Json = Rumor_obs.Json
 module Obs_metrics = Rumor_obs.Metrics
@@ -95,15 +89,6 @@ let loss_arg =
 
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the per-round trace.")
-
-let no_packed_arg =
-  Arg.(
-    value & flag
-    & info [ "no-packed" ]
-        ~doc:
-          "Keep per-node protocol state in boxed OCaml arrays instead of the \
-           packed byte cells. Trajectories are bit-identical either way; the \
-           flag exists for memory A/B comparisons.")
 
 let json_arg =
   Arg.(
@@ -169,8 +154,10 @@ let generate_cmd =
 (* --- broadcast --- *)
 
 let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
-    trace_out no_packed =
-  let packed = not no_packed in
+    trace_out =
+  let stop_when_complete =
+    Scenario.effective_stop { Scenario.default with protocol }
+  in
   let rng = Rng.create seed in
   let fault = Fault.make ~link_loss:loss () in
   let collect_trace = trace || trace_out <> None in
@@ -193,8 +180,8 @@ let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
       ( n_real,
         p,
         Obs_metrics.timed (fun () ->
-            Engine.run ~fault ~collect_trace ~packed ~rng ~topology:top
-              ~protocol:p ~sources:[ source ] ()) )
+            Engine.run ~fault ~collect_trace ~stop_when_complete ~rng
+              ~topology:top ~protocol:p ~sources:[ source ] ()) )
     end
     else begin
       let g =
@@ -210,7 +197,8 @@ let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
       ( n_real,
         p,
         Obs_metrics.timed (fun () ->
-            Run.once ~fault ~collect_trace ~packed ~rng ~graph:g ~protocol:p
+            Run.once ~fault ~collect_trace ~stop_when_complete ~rng ~graph:g
+              ~protocol:p
               ~source:(Run.random_source rng g) ()) )
     end
   in
@@ -270,7 +258,7 @@ let broadcast_cmd =
     Term.(
       const broadcast $ seed_arg $ n_arg $ d_arg $ topology_arg $ protocol_arg
       $ alpha_arg $ fanout_arg $ loss_arg $ trace_arg $ graph_in_arg $ json_arg
-      $ trace_out_arg $ no_packed_arg)
+      $ trace_out_arg)
 
 (* --- multi --- *)
 
@@ -440,157 +428,6 @@ let async_cmd =
       $ alpha_arg $ fanout_arg $ loss_arg $ oracle_stop_arg $ json_arg
       $ trace_out_arg)
 
-(* --- sweep --- *)
-
-let sizes_arg =
-  Arg.(
-    value
-    & opt (list int) [ 1024; 4096; 16384 ]
-    & info [ "sizes" ] ~docv:"N,N,..." ~doc:"Node counts to sweep.")
-
-let reps_arg =
-  Arg.(value & opt int 5 & info [ "reps" ] ~docv:"R" ~doc:"Repetitions per point.")
-
-let domains_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "domains" ] ~docv:"D"
-        ~doc:
-          "OCaml domains used to fan repetitions across cores (0 = auto: \
-           recommended domain count capped at 8). Per-repetition RNG streams \
-           are pre-forked, so results are bit-identical for every D.")
-
-let resolve_domains d =
-  if d < 0 then begin
-    prerr_endline "rumor: --domains must be >= 0";
-    exit 2
-  end
-  else if d = 0 then Experiment.default_domains ()
-  else d
-
-let sweep seed sizes d protocol alpha fanout reps domains json =
-  let domains = resolve_domains domains in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("tx/node", Table.Right);
-          ("ci95", Table.Right);
-          ("rounds", Table.Right);
-          ("success", Table.Right);
-        ]
-  in
-  let points = ref [] in
-  List.iteri
-    (fun i n ->
-      let results =
-        Experiment.replicate_parallel ~domains ~seed:(seed + i) ~reps (fun rng ->
-            let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-            let p =
-              Rumor_cli.Scenario.make_protocol ~protocol ~n ~d ~alpha ~fanout ()
-            in
-            Run.once
-              ~stop_when_complete:(protocol <> "bef" && protocol <> "bef-seq")
-              ~rng ~graph:g ~protocol:p ~source:(Run.random_source rng g) ())
-      in
-      let tx_per_seed =
-        List.map
-          (fun r -> float_of_int (Engine.transmissions r) /. float_of_int n)
-          results
-      in
-      let rounds_per_seed =
-        List.map (fun r -> float_of_int r.Engine.rounds) results
-      in
-      let tx = Summary.of_list tx_per_seed in
-      let rounds = Summary.of_list rounds_per_seed in
-      let ok =
-        List.length (List.filter Engine.success results) * 100 / List.length results
-      in
-      points :=
-        Json.Obj
-          [
-            ("n", Json.Int n);
-            ("tx_per_node", Encode.summary tx);
-            ("rounds", Encode.summary rounds);
-            ("success_rate", Json.Float (float_of_int ok /. 100.));
-            ( "per_seed",
-              Json.Obj
-                [
-                  ("tx_per_node", Encode.float_list tx_per_seed);
-                  ("rounds", Encode.float_list rounds_per_seed);
-                ] );
-          ]
-        :: !points;
-      Table.add_row t
-        [
-          string_of_int n;
-          Printf.sprintf "%.2f" tx.Summary.mean;
-          Printf.sprintf "±%.2f" (Summary.ci95_halfwidth tx);
-          Printf.sprintf "%.1f" rounds.Summary.mean;
-          Printf.sprintf "%d%%" ok;
-        ])
-    sizes;
-  if json then
-    print_endline
-      (Json.to_string ~minify:false
-         (Json.Obj
-            [
-              ("command", Json.String "sweep");
-              ("seed", Json.Int seed);
-              ("d", Json.Int d);
-              ("protocol", Json.String protocol);
-              ("alpha", Json.Float alpha);
-              ("fanout", Json.Int fanout);
-              ("reps", Json.Int reps);
-              ("domains", Json.Int domains);
-              ("points", Json.List (List.rev !points));
-            ]))
-  else Table.print t;
-  0
-
-let sweep_cmd =
-  let info = Cmd.info "sweep" ~doc:"Sweep a protocol over network sizes." in
-  Cmd.v info
-    Term.(
-      const sweep $ seed_arg $ sizes_arg $ d_arg $ protocol_arg $ alpha_arg
-      $ fanout_arg $ reps_arg $ domains_arg $ json_arg)
-
-(* --- churn --- *)
-
-let churn_rate_arg =
-  Arg.(
-    value & opt float 0.005
-    & info [ "rate" ] ~docv:"R" ~doc:"Churn operations per round as a fraction of n.")
-
-let churn seed n d rate =
-  let rng = Rng.create seed in
-  let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-  let o = Overlay.of_graph ~capacity:(2 * n) g in
-  let params = Params.make ~alpha:2.0 ~n_estimate:n ~d () in
-  let ops = int_of_float (rate *. float_of_int n) in
-  let res =
-    Engine.run ~rng
-      ~on_round_end:(fun _ ->
-        for _ = 1 to ops do
-          ignore (Churn.session o ~rng ~d ~join_prob:0.5 ~leave_prob:0.5 ())
-        done)
-      ~topology:(Overlay.to_topology o)
-      ~protocol:(Algorithm.make params) ~sources:[ 0 ] ()
-  in
-  Printf.printf "churn ops/round   %d (%.3f n)\n" ops rate;
-  Printf.printf "final population  %d\n" res.Engine.population;
-  Printf.printf "informed          %d (coverage %.4f)\n" res.Engine.informed
-    (float_of_int res.Engine.informed /. float_of_int res.Engine.population);
-  Printf.printf "transmissions     %.2f per node\n"
-    (float_of_int (Engine.transmissions res) /. float_of_int n);
-  Printf.printf "overlay invariant %b\n" (Overlay.invariant o);
-  0
-
-let churn_cmd =
-  let info = Cmd.info "churn" ~doc:"Broadcast over a churning P2P overlay." in
-  Cmd.v info Term.(const churn $ seed_arg $ n_arg $ d_arg $ churn_rate_arg)
-
 (* --- estimate --- *)
 
 let k_arg =
@@ -619,585 +456,6 @@ let estimate_cmd =
          the broadcast algorithm assumes)."
   in
   Cmd.v info Term.(const estimate $ seed_arg $ n_arg $ d_arg $ k_arg)
-
-(* --- robustness --- *)
-
-let robust_n_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "n" ] ~docv:"N"
-        ~doc:"Number of nodes (the E7 bench covers the full 16384 setting).")
-
-let robust_alpha_arg =
-  Arg.(
-    value & opt float 2.0
-    & info [ "alpha" ] ~docv:"A"
-        ~doc:"Phase-length constant (2.0 adds slack against faults).")
-
-let burst_len_arg =
-  Arg.(
-    value & opt float 4.0
-    & info [ "burst-len" ] ~docv:"L"
-        ~doc:"Mean length (rounds) of a Gilbert-Elliott loss burst.")
-
-let use_estimator_arg =
-  Arg.(
-    value & flag
-    & info [ "use-estimator" ]
-        ~doc:
-          "Source the size estimate from min-of-exponentials gossip at the \
-           broadcast source instead of sweeping fixed n-error factors.")
-
-let robustness seed n d alpha reps domains burst_len use_estimator json =
-  let domains = resolve_domains domains in
-  if burst_len < 1. then begin
-    prerr_endline "rumor: --burst-len must be >= 1";
-    exit 2
-  end;
-  let losses = [ 0.; 0.05; 0.1; 0.2 ] in
-  let errors =
-    if use_estimator then [ 1.0 ] else [ 0.125; 0.25; 1.0; 4.0; 8.0 ]
-  in
-  let summar f results = Summary.of_list (List.map f results) in
-  let pct_success results =
-    100
-    * List.length (List.filter (fun (r, _) -> Engine.success r) results)
-    / List.length results
-  in
-  let sweep_points = ref [] in
-  let crash_points = ref [] in
-  if not json then
-    Printf.printf
-      "robustness sweep: n=%d d=%d alpha=%.1f reps=%d burst_len=%.1f%s\n" n d
-      alpha reps burst_len
-      (if use_estimator then " (gossip size estimate)" else "");
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("burst loss", Table.Right);
-          ("est/n", Table.Right);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i loss ->
-      List.iteri
-        (fun j factor ->
-          let results =
-            Experiment.replicate_parallel ~domains
-              ~seed:(seed + (10 * i) + j)
-              ~reps
-              (fun rng ->
-                let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-                let source = Run.random_source rng g in
-                let est =
-                  if use_estimator then begin
-                    let overlay = Overlay.of_graph ~capacity:n g in
-                    let e = Rumor_p2p.Estimator.create ~rng ~overlay ~k:64 in
-                    ignore (Rumor_p2p.Estimator.run ~rng e);
-                    Rumor_p2p.Estimator.estimate e ~node:source
-                  end
-                  else factor *. float_of_int n
-                in
-                let fault =
-                  if loss > 0. then
-                    Fault.plan ~burst:(Fault.burst ~loss ~burst_len) ()
-                  else Fault.none
-                in
-                let params =
-                  Params.make ~alpha
-                    ~n_estimate:(max 4 (int_of_float (ceil est)))
-                    ~d ()
-                in
-                let res =
-                  Run.once ~fault ~rng ~graph:g
-                    ~protocol:(Algorithm.make params) ~source ()
-                in
-                (res, est /. float_of_int n))
-          in
-          let coverage =
-            summar
-              (fun (r, _) ->
-                float_of_int r.Engine.informed /. float_of_int r.Engine.population)
-              results
-          in
-          let tx =
-            summar
-              (fun (r, _) ->
-                float_of_int (Engine.transmissions r) /. float_of_int n)
-              results
-          in
-          let rounds =
-            summar (fun (r, _) -> float_of_int r.Engine.rounds) results
-          in
-          let est_factor = summar (fun (_, f) -> f) results in
-          sweep_points :=
-            Json.Obj
-              [
-                ("burst_loss", Json.Float loss);
-                ("estimate_factor", Json.Float est_factor.Summary.mean);
-                ( "success_rate",
-                  Json.Float (float_of_int (pct_success results) /. 100.) );
-                ("coverage", Encode.summary coverage);
-                ("tx_per_node", Encode.summary tx);
-                ("rounds", Encode.summary rounds);
-                ( "per_seed",
-                  Json.Obj
-                    [
-                      ( "coverage",
-                        Encode.float_list
-                          (List.map
-                             (fun (r, _) ->
-                               float_of_int r.Engine.informed
-                               /. float_of_int r.Engine.population)
-                             results) );
-                      ( "tx_per_node",
-                        Encode.float_list
-                          (List.map
-                             (fun (r, _) ->
-                               float_of_int (Engine.transmissions r)
-                               /. float_of_int n)
-                             results) );
-                    ] );
-              ]
-            :: !sweep_points;
-          Table.add_row t
-            [
-              Printf.sprintf "%.2f" loss;
-              Printf.sprintf "%.2f" est_factor.Summary.mean;
-              Printf.sprintf "%d%%" (pct_success results);
-              Printf.sprintf "%.4f" coverage.Summary.mean;
-              Printf.sprintf "%.1f" tx.Summary.mean;
-              Printf.sprintf "%.1f" rounds.Summary.mean;
-            ])
-        errors)
-    losses;
-  if not json then begin
-    Table.print t;
-    (* Node-crash schedules, random and adversarial. *)
-    print_endline "\nnode crashes (10% bursty loss kept on):"
-  end;
-  let t2 =
-    Table.create
-      ~columns:
-        [
-          ("schedule", Table.Left);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("final pop", Table.Right);
-          ("tx/node", Table.Right);
-        ]
-  in
-  let schedules =
-    [
-      ( "crash-stop 0.2%/round",
-        Fault.plan ~crash_rate:0.002 () );
-      ( "crash-recovery 1%/round, recover 20%",
-        Fault.plan ~crash_rate:0.01 ~recover_rate:0.2 () );
-      ( Printf.sprintf "strike: random %d @ round 3" (n / 8),
-        Fault.plan
-          ~strike:(Fault.strike ~adversary:Fault.Random_nodes ~at_round:3
-                     ~count:(n / 8) ())
-          () );
-      ( Printf.sprintf "strike: highest-degree %d @ round 3" (n / 8),
-        Fault.plan
-          ~strike:(Fault.strike ~adversary:Fault.Highest_degree ~at_round:3
-                     ~count:(n / 8) ())
-          () );
-      ( Printf.sprintf "strike: frontier %d @ round 3" (n / 16),
-        Fault.plan
-          ~strike:(Fault.strike ~adversary:Fault.Frontier ~at_round:3
-                     ~count:(n / 16) ())
-          () );
-    ]
-  in
-  let burst = Fault.burst ~loss:0.1 ~burst_len in
-  List.iteri
-    (fun i (label, plan) ->
-      let fault = { plan with Fault.burst = Some burst } in
-      let results =
-        Experiment.replicate_parallel ~domains ~seed:(seed + 100 + i) ~reps
-          (fun rng ->
-            let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-            let params = Params.make ~alpha ~n_estimate:n ~d () in
-            Run.once ~fault ~rng ~graph:g ~protocol:(Algorithm.make params)
-              ~source:(Run.random_source rng g) ())
-      in
-      let ok =
-        100
-        * List.length (List.filter Engine.success results)
-        / List.length results
-      in
-      let coverage =
-        Summary.of_list
-          (List.map
-             (fun r ->
-               if r.Engine.population = 0 then 0.
-               else
-                 float_of_int r.Engine.informed
-                 /. float_of_int r.Engine.population)
-             results)
-      in
-      let pop =
-        Summary.of_list
-          (List.map (fun r -> float_of_int r.Engine.population) results)
-      in
-      let tx =
-        Summary.of_list
-          (List.map
-             (fun r -> float_of_int (Engine.transmissions r) /. float_of_int n)
-             results)
-      in
-      crash_points :=
-        Json.Obj
-          [
-            ("schedule", Json.String label);
-            ("success_rate", Json.Float (float_of_int ok /. 100.));
-            ("coverage", Encode.summary coverage);
-            ("final_population", Encode.summary pop);
-            ("tx_per_node", Encode.summary tx);
-          ]
-        :: !crash_points;
-      Table.add_row t2
-        [
-          label;
-          Printf.sprintf "%d%%" ok;
-          Printf.sprintf "%.4f" coverage.Summary.mean;
-          Printf.sprintf "%.0f" pop.Summary.mean;
-          Printf.sprintf "%.1f" tx.Summary.mean;
-        ])
-    schedules;
-  if json then
-    print_endline
-      (Json.to_string ~minify:false
-         (Json.Obj
-            [
-              ("command", Json.String "robustness");
-              ("seed", Json.Int seed);
-              ("n", Json.Int n);
-              ("d", Json.Int d);
-              ("alpha", Json.Float alpha);
-              ("reps", Json.Int reps);
-              ("domains", Json.Int domains);
-              ("burst_len", Json.Float burst_len);
-              ("use_estimator", Json.Bool use_estimator);
-              ("sweep", Json.List (List.rev !sweep_points));
-              ("crash_schedules", Json.List (List.rev !crash_points));
-            ]))
-  else begin
-    Table.print t2;
-    print_endline
-      "(coverage is over surviving nodes; a frontier strike that lands before\n\
-      \ phase 2 can kill every copy of the rumor - no protocol survives that)"
-  end;
-  0
-
-let robustness_cmd =
-  let info =
-    Cmd.info "robustness"
-      ~doc:
-        "Sweep fault intensity (bursty loss) x size-estimate error, then \
-         node-crash schedules, and print success-rate tables."
-  in
-  Cmd.v info
-    Term.(
-      const robustness $ seed_arg $ robust_n_arg $ d_arg $ robust_alpha_arg
-      $ reps_arg $ domains_arg $ burst_len_arg $ use_estimator_arg $ json_arg)
-
-(* --- heal (self-healing broadcast) --- *)
-
-let prob_arg ~names ~default ~docv ~doc =
-  Arg.(value & opt float default & info names ~docv ~doc)
-
-let burst_loss_arg =
-  prob_arg ~names:[ "burst-loss" ] ~default:0.2 ~docv:"P"
-    ~doc:"Stationary Gilbert-Elliott loss rate (0 disables bursts)."
-
-let crash_rate_arg =
-  prob_arg ~names:[ "crash-rate" ] ~default:0.01 ~docv:"P"
-    ~doc:"Per-node per-round crash probability."
-
-let recover_rate_arg =
-  prob_arg ~names:[ "recover-rate" ] ~default:0.25 ~docv:"P"
-    ~doc:"Per-crashed-node per-round recovery probability."
-
-let join_prob_arg =
-  prob_arg ~names:[ "join-prob" ] ~default:0.02 ~docv:"P"
-    ~doc:"Per-round probability that a fresh peer joins the overlay."
-
-let leave_prob_arg =
-  prob_arg ~names:[ "leave-prob" ] ~default:0.02 ~docv:"P"
-    ~doc:"Per-round probability that a random peer leaves the overlay."
-
-let repair_timeout_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "timeout" ] ~docv:"T"
-        ~doc:"Silent rounds before an uninformed node starts pulling.")
-
-let repair_backoff_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "backoff" ] ~docv:"W"
-        ~doc:"Cap (rounds) of the randomized exponential pull backoff.")
-
-let max_epochs_arg =
-  Arg.(
-    value & opt int 8
-    & info [ "max-epochs" ] ~docv:"E" ~doc:"Repair epoch budget.")
-
-let no_repair_arg =
-  Arg.(
-    value & flag
-    & info [ "no-repair" ]
-        ~doc:
-          "Run the same hostile scenario without repair epochs — exposes the \
-           uninformed nodes self-healing would have fixed.")
-
-(* Aggregate reporting for [heal --reps R] with R > 1: per-rep rows plus
-   summary statistics; exits 0 only if every repetition completes. *)
-let heal_replicated ~seed ~reps ~domains ~no_repair ~json one_run =
-  let results = Experiment.replicate_parallel ~domains ~seed ~reps one_run in
-  let coverage =
-    Summary.of_list (List.map (fun (r, _, _) -> Engine.coverage r) results)
-  in
-  let epochs =
-    Summary.of_list
-      (List.map (fun (r, _, _) -> float_of_int (Engine.epochs_used r)) results)
-  in
-  let repair_tx =
-    Summary.of_list
-      (List.map (fun (r, _, _) -> float_of_int (Engine.repair_tx r)) results)
-  in
-  let ok = List.length (List.filter (fun (r, _, _) -> Engine.success r) results) in
-  if json then
-    print_endline
-      (Json.to_string ~minify:false
-         (Json.Obj
-            [
-              ("command", Json.String "heal");
-              ("seed", Json.Int seed);
-              ("reps", Json.Int reps);
-              ("domains", Json.Int domains);
-              ("repair", Json.Bool (not no_repair));
-              ( "success_rate",
-                Json.Float (float_of_int ok /. float_of_int reps) );
-              ("coverage", Encode.summary coverage);
-              ("epochs_used", Encode.summary epochs);
-              ("repair_tx", Encode.summary repair_tx);
-              ( "runs",
-                Json.List
-                  (List.map
-                     (fun (r, span, overlay_ok) ->
-                       Json.Obj
-                         [
-                           ("coverage", Json.Float (Engine.coverage r));
-                           ("epochs_used", Json.Int (Engine.epochs_used r));
-                           ("repair_tx", Json.Int (Engine.repair_tx r));
-                           ("success", Json.Bool (Engine.success r));
-                           ("overlay_invariant", Json.Bool overlay_ok);
-                           ("result", Encode.engine_result r);
-                           ("metrics", Obs_metrics.span_to_json span);
-                         ])
-                     results) );
-            ]))
-  else begin
-    let t =
-      Table.create
-        ~columns:
-          [
-            ("rep", Table.Right);
-            ("coverage", Table.Right);
-            ("epochs", Table.Right);
-            ("repair tx", Table.Right);
-            ("complete", Table.Right);
-          ]
-    in
-    List.iteri
-      (fun i (r, _, _) ->
-        Table.add_row t
-          [
-            string_of_int i;
-            Printf.sprintf "%.4f" (Engine.coverage r);
-            string_of_int (Engine.epochs_used r);
-            string_of_int (Engine.repair_tx r);
-            (if Engine.success r then "yes" else "NO");
-          ])
-      results;
-    Table.print t;
-    Printf.printf "success   %d/%d\n" ok reps;
-    Printf.printf "coverage  %.4f ±%.4f\n" coverage.Summary.mean
-      (Summary.ci95_halfwidth coverage);
-    Printf.printf "epochs    %.1f mean\n" epochs.Summary.mean
-  end;
-  if ok = reps then 0 else 1
-
-let heal_reps_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "reps" ] ~docv:"R"
-        ~doc:
-          "Independent repetitions (forked RNG streams). The default 1 keeps \
-           the original single-run behaviour and output; R > 1 replicates \
-           across domains and reports per-rep and aggregate coverage.")
-
-let heal seed n d alpha burst_loss burst_len crash_rate recover_rate join_prob
-    leave_prob timeout backoff max_epochs no_repair reps domains json =
-  let domains = resolve_domains domains in
-  let check_prob name p =
-    if p < 0. || p > 1. then begin
-      Printf.eprintf "rumor: --%s must be in [0, 1]\n" name;
-      exit 2
-    end
-  in
-  check_prob "crash-rate" crash_rate;
-  check_prob "recover-rate" recover_rate;
-  check_prob "join-prob" join_prob;
-  check_prob "leave-prob" leave_prob;
-  if burst_loss < 0. || burst_loss >= 1. then begin
-    prerr_endline "rumor: --burst-loss must be in [0, 1)";
-    exit 2
-  end;
-  if backoff < 1 || timeout < 0 || max_epochs < 0 then begin
-    prerr_endline
-      "rumor: --backoff must be >= 1, --timeout and --max-epochs >= 0";
-    exit 2
-  end;
-  if reps < 1 then begin
-    prerr_endline "rumor: --reps must be >= 1";
-    exit 2
-  end;
-  let fault =
-    let burst =
-      if burst_loss > 0. then
-        Some (Fault.burst ~loss:burst_loss ~burst_len)
-      else None
-    in
-    Fault.plan ?burst ~crash_rate ~recover_rate ()
-  in
-  let protocol = Algorithm.make (Params.make ~alpha ~n_estimate:n ~d ()) in
-  let config =
-    Rumor_core.Repair.config ~timeout ~backoff_cap:backoff ~max_epochs ~n ()
-  in
-  (* One full hostile run; all mutable state is local so the closure is
-     safe to replicate across domains. *)
-  let one_run rng =
-    let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-    let o = Overlay.of_graph ~capacity:(2 * n) g in
-    (* Joins during the main schedule may recycle ids of departed peers;
-       the engine's reset hook restarts them uninformed. *)
-    let joined = ref [] in
-    let on_round_end _ =
-      let ev = Churn.session o ~rng ~d ~join_prob ~leave_prob () in
-      match ev.Churn.joined with
-      | Some v -> joined := v :: !joined
-      | None -> ()
-    in
-    let reset () =
-      let l = !joined in
-      joined := [];
-      l
-    in
-    let res, span =
-      Obs_metrics.timed (fun () ->
-          if no_repair then
-            Engine.run ~fault ~forget_on_recover:true ~reset ~on_round_end ~rng
-              ~topology:(Overlay.to_topology o) ~protocol ~sources:[ 0 ] ()
-          else
-            Rumor_core.Repair.self_heal ~fault ~config ~reset ~on_round_end
-              ~rng ~topology:(Overlay.to_topology o) ~protocol ~sources:[ 0 ]
-              ())
-    in
-    (res, span, Overlay.invariant o)
-  in
-  if reps > 1 then heal_replicated ~seed ~reps ~domains ~no_repair ~json one_run
-  else begin
-  (* reps = 1: the original single-run path, stream- and output-compatible
-     (the RNG is [create seed] itself, not a fork). *)
-  let res, span, overlay_ok = one_run (Rng.create seed) in
-  if json then
-    print_endline
-      (Json.to_string ~minify:false
-         (Json.Obj
-            [
-              ("command", Json.String "heal");
-              ("seed", Json.Int seed);
-              ("n", Json.Int n);
-              ("d", Json.Int d);
-              ("alpha", Json.Float alpha);
-              ("burst_loss", Json.Float burst_loss);
-              ("burst_len", Json.Float burst_len);
-              ("crash_rate", Json.Float crash_rate);
-              ("recover_rate", Json.Float recover_rate);
-              ("join_prob", Json.Float join_prob);
-              ("leave_prob", Json.Float leave_prob);
-              ("repair", Json.Bool (not no_repair));
-              ("repair_timeout", Json.Int timeout);
-              ("repair_backoff", Json.Int backoff);
-              ("max_epochs", Json.Int max_epochs);
-              ("coverage", Json.Float (Engine.coverage res));
-              ("epochs_used", Json.Int (Engine.epochs_used res));
-              ("repair_tx", Json.Int (Engine.repair_tx res));
-              ("result", Encode.engine_result res);
-              ("metrics", Obs_metrics.span_to_json span);
-            ]))
-  else begin
-    Printf.printf "repair            %s\n"
-      (if no_repair then "off"
-       else
-         Printf.sprintf "timeout %d, backoff cap %d, max %d epochs" timeout
-           backoff max_epochs);
-    Printf.printf "final population  %d\n" res.Engine.population;
-    Printf.printf "informed          %d (coverage %.4f%s)\n" res.Engine.informed
-      (Engine.coverage res)
-      (if Engine.success res then ", complete" else ", INCOMPLETE");
-    Printf.printf "epochs used       %d\n" (Engine.epochs_used res);
-    List.iter
-      (fun e ->
-        Printf.printf
-          "  epoch %d: %d rounds, coverage %.4f, %d pull tx (%.2f per node)\n"
-          e.Engine.epoch e.Engine.epoch_rounds
-          (if e.Engine.epoch_population = 0 then 0.
-           else
-             float_of_int e.Engine.epoch_informed
-             /. float_of_int e.Engine.epoch_population)
-          e.Engine.repair_pull_tx
-          (float_of_int (e.Engine.repair_push_tx + e.Engine.repair_pull_tx)
-          /. float_of_int (max 1 e.Engine.epoch_population)))
-      res.Engine.repair;
-    Printf.printf "repair overhead   %d tx (%.2f per node)\n"
-      (Engine.repair_tx res)
-      (float_of_int (Engine.repair_tx res)
-      /. float_of_int (max 1 res.Engine.population));
-    Printf.printf "transmissions     %d (%.2f per node)\n"
-      (Engine.transmissions res)
-      (float_of_int (Engine.transmissions res)
-      /. float_of_int (max 1 res.Engine.population));
-    Printf.printf "overlay invariant %b\n" overlay_ok
-  end;
-  if Engine.success res then 0 else 1
-  end
-
-let heal_cmd =
-  let info =
-    Cmd.info "heal"
-      ~doc:
-        "Self-healing broadcast: run the paper's algorithm under a hostile \
-         plan (bursty loss, crash/recovery, churn), then repair epochs \
-         (pull-timeout with randomized backoff) until every live peer is \
-         informed or the epoch budget runs out."
-  in
-  Cmd.v info
-    Term.(
-      const heal $ seed_arg $ robust_n_arg $ d_arg $ robust_alpha_arg
-      $ burst_loss_arg $ burst_len_arg $ crash_rate_arg $ recover_rate_arg
-      $ join_prob_arg $ leave_prob_arg $ repair_timeout_arg
-      $ repair_backoff_arg $ max_epochs_arg $ no_repair_arg $ heal_reps_arg
-      $ domains_arg $ json_arg)
 
 (* --- run (scenario files) --- *)
 
@@ -1952,6 +1210,23 @@ let load_cmd =
 
 (* --- matrix: declarative scenario grids with gates --- *)
 
+let domains_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "domains" ] ~docv:"D"
+        ~doc:
+          "OCaml domains used to fan repetitions across cores (0 = auto: \
+           recommended domain count capped at 8). Per-repetition RNG streams \
+           are pre-forked, so results are bit-identical for every D.")
+
+let resolve_domains d =
+  if d < 0 then begin
+    prerr_endline "rumor: --domains must be >= 0";
+    exit 2
+  end
+  else if d = 0 then Experiment.default_domains ()
+  else d
+
 let matrix_files_arg =
   Arg.(
     non_empty & pos_all file []
@@ -2055,7 +1330,7 @@ let matrix_run_service (cell : Matrix.cell) =
   ]
 
 let matrix files json_path dry_run domains =
-  let domains = if domains = 0 then None else Some domains in
+  let domains = resolve_domains domains in
   let rec parse_all acc = function
     | [] -> Ok (List.rev acc)
     | f :: rest -> (
@@ -2088,7 +1363,7 @@ let matrix files json_path dry_run domains =
               (fun (f, spec) ->
                 match
                   Obs_metrics.timed (fun () ->
-                      Matrix.run ?domains ~run_service:matrix_run_service
+                      Matrix.run ~domains ~run_service:matrix_run_service
                         spec)
                 with
                 | exception Failure m ->
@@ -2209,12 +1484,8 @@ let () =
             broadcast_cmd;
             multi_cmd;
             async_cmd;
-            sweep_cmd;
-            churn_cmd;
             estimate_cmd;
             run_cmd;
-            robustness_cmd;
-            heal_cmd;
             chaos_cmd;
             replay_cmd;
             bench_check_cmd;

@@ -98,9 +98,7 @@ let run_raw ?monitor (s : Scenario.t) =
         ~fanout:s.Scenario.fanout ()
     in
     let fault = Scenario.fault_plan s in
-    let stop =
-      s.Scenario.protocol <> "bef" && s.Scenario.protocol <> "bef-seq"
-    in
+    let stop = Scenario.effective_stop s in
     let source = Rng.int rng n_real in
     match
       if s.Scenario.max_epochs > 0 then
@@ -131,9 +129,7 @@ let run_raw ?monitor (s : Scenario.t) =
       ~d:s.Scenario.d ~alpha:s.Scenario.alpha ~fanout:s.Scenario.fanout ()
   in
   let fault = Scenario.fault_plan s in
-  let stop =
-    s.Scenario.protocol <> "bef" && s.Scenario.protocol <> "bef-seq"
-  in
+  let stop = Scenario.effective_stop s in
   let repair_config =
     if s.Scenario.max_epochs > 0 then
       Some

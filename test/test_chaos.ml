@@ -315,6 +315,36 @@ let test_run_one_deterministic () =
     "digest independent of the monitor" a.Chaos.digest c.Chaos.digest;
   Alcotest.(check int) "monitor off checks nothing" 0 c.Chaos.checked
 
+(* Chaos and the scenario runner share one stopping rule: for every
+   protocol, a fault-free implicit run reports the same rounds and
+   coverage from both entry points. push-pull-age terminates itself,
+   so an entry point that stops it at completion reports fewer
+   rounds. *)
+let test_run_one_matches_run_rep () =
+  List.iter
+    (fun protocol ->
+      let s =
+        {
+          Scenario.default with
+          Scenario.seed = 5;
+          n = 512;
+          d = 8;
+          topology = "implicit-regular";
+          protocol;
+          reps = 1;
+          domains = 1;
+        }
+      in
+      let o = Chaos.run_one s in
+      let r = Scenario.run_rep s (Rng.create s.Scenario.seed) in
+      Alcotest.(check (option string)) (protocol ^ " no error") None
+        o.Chaos.error;
+      Alcotest.(check int) (protocol ^ " rounds") r.Engine.rounds
+        o.Chaos.rounds;
+      Alcotest.(check (float 0.)) (protocol ^ " coverage")
+        (Engine.coverage r) o.Chaos.coverage)
+    Scenario.protocols
+
 let test_sample_deterministic () =
   let take seed =
     let rng = Rng.create seed in
@@ -433,6 +463,8 @@ let () =
         [
           Alcotest.test_case "run_one deterministic" `Quick
             test_run_one_deterministic;
+          Alcotest.test_case "run_one stops like run_rep" `Quick
+            test_run_one_matches_run_rep;
           Alcotest.test_case "sample deterministic" `Quick
             test_sample_deterministic;
           Alcotest.test_case "scenario_text round-trips" `Quick
