@@ -17,8 +17,9 @@
    Every sweep is a file: size grids, the fault x estimate frontier and
    self-healing or churn points are scenario/matrix files under
    scenarios/, executed by run and matrix. broadcast, run, matrix and
-   chaos decide whether a run stops at full coverage through one rule,
-   Scenario.effective_stop.
+   chaos run a scenario through one function, Scenario.run_rep; they and
+   async and serve decide whether a run stops at full coverage through
+   one rule, Scenario.effective_stop.
 
    broadcast, multi and async take --json to emit one structured JSON
    document on stdout instead of the human report, and --trace-out FILE
@@ -155,53 +156,44 @@ let generate_cmd =
 
 let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
     trace_out =
-  let stop_when_complete =
-    Scenario.effective_stop { Scenario.default with protocol }
+  let scenario =
+    { Scenario.default with seed; n; d; topology; protocol; alpha; fanout; loss }
   in
-  let rng = Rng.create seed in
-  let fault = Fault.make ~link_loss:loss () in
   let collect_trace = trace || trace_out <> None in
-  let n_real, p, (res, span) =
-    if Rumor_cli.Scenario.is_implicit topology then begin
-      if graph_in <> None then begin
-        prerr_endline
-          "rumor: --graph cannot be combined with an implicit --topology";
-        exit 2
-      end;
-      (* No graph is materialised: the engine walks the seed-derived
-         neighbour functions, so n = 10^7+ works in O(n) state. *)
-      let top = Rumor_cli.Scenario.make_topology ~rng ~topology ~n ~d in
-      let n_real = top.Rumor_sim.Topology.capacity in
-      let p =
-        Rumor_cli.Scenario.make_protocol ~protocol ~n:n_real ~d ~alpha
-          ~fanout ()
-      in
-      let source = Rng.int rng n_real in
-      ( n_real,
-        p,
+  let res, span =
+    match graph_in with
+    | None -> (
+        match Scenario.validate scenario with
+        | Error e ->
+            prerr_endline ("rumor: " ^ e);
+            exit 2
+        | Ok s ->
+            Obs_metrics.timed (fun () ->
+                Scenario.run_rep ~collect_trace s (Rng.create seed)))
+    | Some path ->
+        if Scenario.is_implicit topology then begin
+          prerr_endline
+            "rumor: --graph cannot be combined with an implicit --topology";
+          exit 2
+        end;
+        (* A loaded graph is not a scenario topology: same protocol,
+           source draw and engine call as [Scenario.run_rep], on the
+           file's graph. *)
+        let g = Rumor_graph.Io.of_file path in
+        let rng = Rng.create seed in
+        let p =
+          Scenario.make_protocol ~protocol ~n:(Graph.n g) ~d ~alpha ~fanout ()
+        in
+        let source = Rng.int rng (Graph.n g) in
         Obs_metrics.timed (fun () ->
-            Engine.run ~fault ~collect_trace ~stop_when_complete ~rng
-              ~topology:top ~protocol:p ~sources:[ source ] ()) )
-    end
-    else begin
-      let g =
-        match graph_in with
-        | Some path -> Rumor_graph.Io.of_file path
-        | None -> Rumor_cli.Scenario.make_graph ~rng ~topology ~n ~d
-      in
-      let n_real = Graph.n g in
-      let p =
-        Rumor_cli.Scenario.make_protocol ~protocol ~n:n_real ~d ~alpha
-          ~fanout ()
-      in
-      ( n_real,
-        p,
-        Obs_metrics.timed (fun () ->
-            Run.once ~fault ~collect_trace ~stop_when_complete ~rng ~graph:g
-              ~protocol:p
-              ~source:(Run.random_source rng g) ()) )
-    end
+            Engine.run ~fault:(Scenario.fault_plan scenario) ~collect_trace
+              ~stop_when_complete:(Scenario.effective_stop scenario) ~rng
+              ~topology:(Rumor_sim.Topology.of_graph g) ~protocol:p
+              ~sources:[ source ] ())
   in
+  (* The topology's id space: a hypercube or torus rounds [n]. *)
+  let n_real = Rumor_sim.Bitset.length res.Engine.knows in
+  let protocol_name = Scenario.protocol_name scenario in
   (match (res.Engine.trace, trace_out) with
   | Some t, Some path ->
       let oc = open_out path in
@@ -219,7 +211,7 @@ let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
               ("topology", Json.String topology);
               ("n", Json.Int n_real);
               ("d", Json.Int d);
-              ("protocol", Json.String p.Rumor_sim.Protocol.name);
+              ("protocol", Json.String protocol_name);
               ("alpha", Json.Float alpha);
               ("fanout", Json.Int fanout);
               ("link_loss", Json.Float loss);
@@ -231,7 +223,7 @@ let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
               ("metrics", Obs_metrics.span_to_json span);
             ]))
   else begin
-    Printf.printf "protocol     %s\n" p.Rumor_sim.Protocol.name;
+    Printf.printf "protocol     %s\n" protocol_name;
     Printf.printf "informed     %d / %d (%s)\n" res.Engine.informed
       res.Engine.population
       (if Engine.success res then "complete" else "INCOMPLETE");
@@ -354,16 +346,7 @@ let multi_cmd =
 
 (* --- async --- *)
 
-let oracle_stop_arg =
-  Arg.(
-    value & flag
-    & info [ "oracle-stop" ]
-        ~doc:
-          "Stop as soon as every node is informed (oracle-stopped \
-           accounting) instead of waiting for quiescence.")
-
-let async seed n d topology protocol alpha fanout loss oracle_stop json
-    trace_out =
+let async seed n d topology protocol alpha fanout loss json trace_out =
   let rng = Rng.create seed in
   let g = Rumor_cli.Scenario.make_graph ~rng ~topology ~n ~d in
   let n_real = Graph.n g in
@@ -373,8 +356,11 @@ let async seed n d topology protocol alpha fanout loss oracle_stop json
   let fault = Fault.make ~link_loss:loss () in
   let collect_trace = trace_out <> None in
   let res =
-    Rumor_sim.Async.run ~fault ~stop_when_complete:oracle_stop ~collect_trace
-      ~rng ~graph:g ~protocol:p ~sources:[ Run.random_source rng g ] ()
+    Rumor_sim.Async.run ~fault
+      ~stop_when_complete:
+        (Scenario.effective_stop { Scenario.default with protocol })
+      ~collect_trace ~rng ~graph:g ~protocol:p
+      ~sources:[ Run.random_source rng g ] ()
   in
   (match (res.Rumor_sim.Async.trace, trace_out) with
   | Some t, Some path ->
@@ -425,8 +411,7 @@ let async_cmd =
   Cmd.v info
     Term.(
       const async $ seed_arg $ n_arg $ d_arg $ topology_arg $ protocol_arg
-      $ alpha_arg $ fanout_arg $ loss_arg $ oracle_stop_arg $ json_arg
-      $ trace_out_arg)
+      $ alpha_arg $ fanout_arg $ loss_arg $ json_arg $ trace_out_arg)
 
 (* --- estimate --- *)
 

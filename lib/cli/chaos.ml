@@ -1,13 +1,7 @@
 module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
 module Engine = Rumor_sim.Engine
 module Invariant = Rumor_sim.Invariant
-module Topology = Rumor_sim.Topology
 module Trace = Rumor_sim.Trace
-module Overlay = Rumor_p2p.Overlay
-module Churn = Rumor_p2p.Churn
-module Run_ = Rumor_core.Run
-module Repair = Rumor_core.Repair
 
 (* --- trajectory digests ------------------------------------------- *)
 
@@ -78,105 +72,6 @@ type outcome = {
 
 let failed o = o.violation_count > 0 || o.error <> None
 
-let run_raw ?monitor (s : Scenario.t) =
-  let rng = Rng.create s.Scenario.seed in
-  if Scenario.is_implicit s.Scenario.topology then begin
-    (* Implicit views run straight on the kernel: no graph, no
-       overlay. Churn is impossible here (parse rejects it), every
-       other fault axis behaves exactly as on a materialised graph. *)
-    let topology =
-      Scenario.make_topology ~rng ~topology:s.Scenario.topology
-        ~n:s.Scenario.n ~d:s.Scenario.d
-    in
-    let n_real = topology.Topology.capacity in
-    let n_estimate =
-      int_of_float (ceil (s.Scenario.n_error *. float_of_int n_real))
-    in
-    let protocol =
-      Scenario.make_protocol ~n_estimate ~protocol:s.Scenario.protocol
-        ~n:n_real ~d:s.Scenario.d ~alpha:s.Scenario.alpha
-        ~fanout:s.Scenario.fanout ()
-    in
-    let fault = Scenario.fault_plan s in
-    let stop = Scenario.effective_stop s in
-    let source = Rng.int rng n_real in
-    match
-      if s.Scenario.max_epochs > 0 then
-        Some
-          (Repair.config ~timeout:s.Scenario.repair_timeout
-             ~backoff_cap:(max s.Scenario.repair_backoff 1)
-             ~max_epochs:s.Scenario.max_epochs ~n:n_real ())
-      else None
-    with
-    | Some config ->
-        Repair.self_heal ~fault ~collect_trace:true ?monitor ~config ~rng
-          ~topology ~protocol ~sources:[ source ] ()
-    | None ->
-        Engine.run ~fault ~collect_trace:true ~stop_when_complete:stop
-          ?monitor ~rng ~topology ~protocol ~sources:[ source ] ()
-  end
-  else
-  let g =
-    Scenario.make_graph ~rng ~topology:s.Scenario.topology ~n:s.Scenario.n
-      ~d:s.Scenario.d
-  in
-  let n_real = Graph.n g in
-  let n_estimate =
-    int_of_float (ceil (s.Scenario.n_error *. float_of_int n_real))
-  in
-  let protocol =
-    Scenario.make_protocol ~n_estimate ~protocol:s.Scenario.protocol ~n:n_real
-      ~d:s.Scenario.d ~alpha:s.Scenario.alpha ~fanout:s.Scenario.fanout ()
-  in
-  let fault = Scenario.fault_plan s in
-  let stop = Scenario.effective_stop s in
-  let repair_config =
-    if s.Scenario.max_epochs > 0 then
-      Some
-        (Repair.config ~timeout:s.Scenario.repair_timeout
-           ~backoff_cap:(max s.Scenario.repair_backoff 1)
-           ~max_epochs:s.Scenario.max_epochs ~n:n_real ())
-    else None
-  in
-  let source = Run_.random_source rng g in
-  let churn_on = s.Scenario.join_prob > 0. || s.Scenario.leave_prob > 0. in
-  if churn_on then begin
-    let o = Overlay.of_graph ~capacity:(2 * n_real) g in
-    let topology = Overlay.to_topology o in
-    let joined = ref [] in
-    let on_round_end _ =
-      let ev =
-        Churn.session o ~rng ~d:s.Scenario.d ~join_prob:s.Scenario.join_prob
-          ~leave_prob:s.Scenario.leave_prob ()
-      in
-      match ev.Churn.joined with
-      | Some v -> joined := v :: !joined
-      | None -> ()
-    in
-    let reset () =
-      let l = !joined in
-      joined := [];
-      l
-    in
-    match repair_config with
-    | Some config ->
-        Repair.self_heal ~fault ~collect_trace:true ~reset ~on_round_end
-          ?monitor ~config ~rng ~topology ~protocol ~sources:[ source ] ()
-    | None ->
-        Engine.run ~fault ~collect_trace:true ~forget_on_recover:true ~reset
-          ~on_round_end ~stop_when_complete:stop ?monitor ~rng ~topology
-          ~protocol ~sources:[ source ] ()
-  end
-  else
-    match repair_config with
-    | Some config ->
-        Repair.heal ~fault ~collect_trace:true ?monitor ~config ~rng ~graph:g
-          ~protocol ~source ()
-    | None ->
-        Engine.run ~fault ~collect_trace:true ~stop_when_complete:stop
-          ?monitor ~rng ~topology:(Topology.of_graph g) ~protocol
-          ~sources:[ source ] ()
-
 let run_one ?(check = true) (s : Scenario.t) =
   let monitor = if check then Some (Invariant.create ()) else None in
   let finish digest error rounds coverage completed =
@@ -198,7 +93,9 @@ let run_one ?(check = true) (s : Scenario.t) =
       completed;
     }
   in
-  match run_raw ?monitor s with
+  match
+    Scenario.run_rep ?monitor ~collect_trace:true s (Rng.create s.Scenario.seed)
+  with
   | r ->
       finish (digest_of_result r) None r.Engine.rounds (Engine.coverage r)
         (Engine.success r)

@@ -35,7 +35,10 @@ val failed : outcome -> bool
 
 val run_one : ?check:bool -> Scenario.t -> outcome
 (** Execute one repetition of the scenario ([reps]/[domains] are
-    ignored — chaos runs are single-rep by construction) with trace
+    ignored — chaos runs are single-rep by construction): exactly
+    [Scenario.run_rep ?monitor ~collect_trace:true s (Rng.create
+    s.seed)], so a chaos run is the run [rumor run] and the matrix
+    runner make for the same scenario and stream, with trace
     collection on and, unless [check:false], the invariant monitor
     installed. The monitor never draws randomness, so the digest is
     independent of [check]. An uncaught exception is captured in

@@ -5,7 +5,6 @@ module Fault = Rumor_sim.Fault
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm
 module Baselines = Rumor_core.Baselines
-module Run_ = Rumor_core.Run
 module Repair = Rumor_core.Repair
 module Overlay = Rumor_p2p.Overlay
 module Churn = Rumor_p2p.Churn
@@ -470,114 +469,79 @@ let repair_config scenario =
   else None
 
 (* One repetition on one pre-forked stream — the unit the matrix
-   runner schedules onto its shared domain pool. The draw order (graph
-   or view sample, then source, then engine) is a compatibility
-   contract: a cell run here must be bit-identical to the same seed
-   run through [run] or the historical bench loops. *)
-let run_rep scenario rng =
-  let fault = fault_plan scenario in
-  let stop = effective_stop scenario in
-  let repair_config = repair_config scenario in
-  if is_implicit scenario.topology then begin
-    (* No graph is ever built: the kernel walks seed-derived
-       neighbour functions, so this path scales to n = 10^7+.
-       Churn is rejected at parse time (implicit views have a
-       fixed id space); every other fault key composes, since
-       faults mutate liveness, never edges. *)
-    let topology =
-      make_topology ~rng ~topology:scenario.topology ~n:scenario.n
-        ~d:scenario.d
-    in
-    let n_real = topology.Rumor_sim.Topology.capacity in
-    let n_estimate =
-      int_of_float (ceil (scenario.n_error *. float_of_int n_real))
-    in
-    let p =
-      make_protocol ~n_estimate ~protocol:scenario.protocol ~n:n_real
-        ~d:scenario.d ~alpha:scenario.alpha ~fanout:scenario.fanout ()
-    in
-    let source =
-      if scenario.source = "first" then 0 else Rng.int rng n_real
-    in
-    match repair_config with
-    | Some config ->
-        Repair.self_heal ~fault ~config ~packed:scenario.packed ~rng ~topology
-          ~protocol:p ~sources:[ source ] ()
-    | None ->
-        Engine.run ~fault ~stop_when_complete:stop ~packed:scenario.packed
-          ~rng ~topology ~protocol:p ~sources:[ source ] ()
-  end
-  else
-    let g =
-      make_graph ~rng ~topology:scenario.topology ~n:scenario.n ~d:scenario.d
-    in
-    let n_real = Graph.n g in
-    let n_estimate =
-      int_of_float (ceil (scenario.n_error *. float_of_int n_real))
-    in
-    let p =
-      make_protocol ~n_estimate ~protocol:scenario.protocol ~n:n_real
-        ~d:scenario.d ~alpha:scenario.alpha ~fanout:scenario.fanout ()
-    in
-    let source =
-      if scenario.source = "first" then 0 else Run_.random_source rng g
-    in
-    let churn_on =
-      scenario.churn_rate >= 0. || scenario.join_prob > 0.
-      || scenario.leave_prob > 0.
-    in
-    if churn_on then begin
+   runner schedules onto its shared domain pool, and the only place a
+   scenario becomes an engine run. The draw order (graph or view
+   sample, then source, then engine) is a compatibility contract: the
+   goldens, the committed bench baselines and the chaos repro digests
+   all depend on it. *)
+let run_rep ?monitor ?collect_trace scenario rng =
+  let churn_on =
+    scenario.churn_rate >= 0. || scenario.join_prob > 0.
+    || scenario.leave_prob > 0.
+  in
+  let topology, n_real, on_round_end, reset =
+    if not churn_on then
+      let t =
+        make_topology ~rng ~topology:scenario.topology ~n:scenario.n
+          ~d:scenario.d
+      in
+      (t, t.Rumor_sim.Topology.capacity, None, None)
+    else
       (* Session churn mutates an overlay copy of the graph; ids
-         handed out for joins are reset to uninformed. Extra
-         capacity leaves room for joins beyond the initial size. *)
+         handed out for joins are reset to uninformed. Extra capacity
+         leaves room for joins beyond the initial size. Implicit views
+         never get here: parse rejects churn on them. *)
+      let g =
+        make_graph ~rng ~topology:scenario.topology ~n:scenario.n
+          ~d:scenario.d
+      in
+      let n_real = Graph.n g in
       let o = Overlay.of_graph ~capacity:(2 * n_real) g in
-      let topology = Overlay.to_topology o in
       let joined = ref [] in
-      let note ev =
-        match ev.Churn.joined with
-        | Some v -> joined := v :: !joined
-        | None -> ()
+      let session ~join_prob ~leave_prob =
+        let ev =
+          Churn.session o ~rng ~d:scenario.d ~join_prob ~leave_prob ()
+        in
+        Option.iter (fun v -> joined := v :: !joined) ev.Churn.joined
       in
       let on_round_end _ =
         if scenario.churn_rate >= 0. then
           (* Rate churn: churn_rate * n symmetric sessions per round,
              the model of the self-healing frontier (E8). *)
-          let ops =
-            int_of_float (scenario.churn_rate *. float_of_int n_real)
-          in
+          let ops = int_of_float (scenario.churn_rate *. float_of_int n_real) in
           for _ = 1 to ops do
-            note
-              (Churn.session o ~rng ~d:scenario.d ~join_prob:0.5
-                 ~leave_prob:0.5 ())
+            session ~join_prob:0.5 ~leave_prob:0.5
           done
         else
-          note
-            (Churn.session o ~rng ~d:scenario.d ~join_prob:scenario.join_prob
-               ~leave_prob:scenario.leave_prob ())
+          session ~join_prob:scenario.join_prob ~leave_prob:scenario.leave_prob
       in
       let reset () =
         let l = !joined in
         joined := [];
         l
       in
-      match repair_config with
-      | Some config ->
-          Repair.self_heal ~fault ~config ~reset ~on_round_end
-            ~packed:scenario.packed ~rng ~topology ~protocol:p
-            ~sources:[ source ] ()
-      | None ->
-          Engine.run ~fault ~forget_on_recover:true ~reset ~on_round_end
-            ~stop_when_complete:stop ~packed:scenario.packed ~rng ~topology
-            ~protocol:p ~sources:[ source ] ()
-    end
-    else
-      match repair_config with
-      | Some config ->
-          Repair.heal ~fault ~config ~packed:scenario.packed ~rng ~graph:g
-            ~protocol:p ~source ()
-      | None ->
-          Run_.once ~fault ~stop_when_complete:stop ~packed:scenario.packed
-            ~rng ~graph:g ~protocol:p ~source ()
+      (Overlay.to_topology o, n_real, Some on_round_end, Some reset)
+  in
+  let n_estimate =
+    int_of_float (ceil (scenario.n_error *. float_of_int n_real))
+  in
+  let protocol =
+    make_protocol ~n_estimate ~protocol:scenario.protocol ~n:n_real
+      ~d:scenario.d ~alpha:scenario.alpha ~fanout:scenario.fanout ()
+  in
+  let sources =
+    [ (if scenario.source = "first" then 0 else Rng.int rng n_real) ]
+  in
+  let fault = fault_plan scenario in
+  let packed = scenario.packed in
+  match repair_config scenario with
+  | Some config ->
+      Repair.self_heal ~fault ?collect_trace ?reset ?on_round_end ?monitor
+        ~packed ~config ~rng ~topology ~protocol ~sources ()
+  | None ->
+      Engine.run ~fault ?collect_trace ~forget_on_recover:churn_on ?reset
+        ?on_round_end ~stop_when_complete:(effective_stop scenario) ?monitor
+        ~packed ~rng ~topology ~protocol ~sources ()
 
 type report = {
   scenario : t;

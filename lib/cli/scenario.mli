@@ -215,13 +215,25 @@ val protocol_name : t -> string
     ["bef-parallel-f4"]) — a pure function of the protocol, alpha and
     fanout keys; no RNG is touched. *)
 
-val run_rep : t -> Rumor_rng.Rng.t -> Rumor_sim.Engine.result
+val run_rep :
+  ?monitor:Rumor_sim.Invariant.t -> ?collect_trace:bool -> t ->
+  Rumor_rng.Rng.t -> Rumor_sim.Engine.result
 (** One repetition on one pre-forked stream — the unit the matrix
-    runner schedules onto its shared domain pool. The draw order
-    (graph/view sample, then source, then engine) is a compatibility
-    contract: the same stream always yields a bit-identical result
-    whether dispatched here, via {!run}, or by the historical bench
-    loops. *)
+    runner schedules onto its shared domain pool, and the one place a
+    scenario becomes an engine run: {!run}, the matrix runner, the
+    chaos soak and [rumor broadcast] all call it. The steps are always
+    the same: topology ({!make_topology}, or an overlay over
+    {!make_graph} when a churn key is set, with the churn tick as the
+    round-end hook), protocol, source ([Rng.int rng n] unless
+    [source = first]), then {!Rumor_core.Repair.self_heal} when
+    [max_epochs > 0] and {!Rumor_sim.Engine.run} otherwise. The draw
+    order (graph/view sample, then source, then engine) is a
+    compatibility contract: the same stream always yields a
+    bit-identical result whichever entry point dispatched it.
+
+    [monitor] (an invariant checker; it draws no randomness) and
+    [collect_trace] (default [false]) are handed to the engine
+    unchanged; neither moves the trajectory. *)
 
 type report = {
   scenario : t;

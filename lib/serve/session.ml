@@ -261,7 +261,10 @@ let exec ~topology ~deadline_factor ~round_budget_us ~beat t =
   beat ();
   match
     Engine.run ~fault:(fault_of spec) ~collect_trace:t.trace_enabled
-      ~stop_when_complete:true ~on_round_end ~rng ~topology ~protocol
+      ~stop_when_complete:
+        (Scenario.effective_stop
+           { Scenario.default with protocol = t.protocol })
+      ~on_round_end ~rng ~topology ~protocol
       ~sources:[ 0 ] ()
   with
   | r ->

@@ -345,6 +345,49 @@ let test_run_one_matches_run_rep () =
         (Engine.coverage r) o.Chaos.coverage)
     Scenario.protocols
 
+(* One scenario per topology/repair/churn/source combination that used
+   to take its own code path in [Scenario.run_rep]. The digests were
+   recorded before those paths were merged into one sequence, so any
+   draw-order drift in the shared path shows up here. *)
+let run_rep_goldens =
+  [
+    ( "implicit",
+      "topology = implicit-regular\nprotocol = bef\nloss = 0.05\nseed = 11",
+      "e19d23f7dea5628f" );
+    ( "implicit + repair",
+      "topology = implicit-regular\nprotocol = bef\ncrash_rate = 0.01\n\
+       max_epochs = 4\nseed = 12",
+      "7e0895e73d1dfcfa" );
+    ( "materialised",
+      "topology = regular\nprotocol = push-pull\nloss = 0.1\nseed = 13",
+      "f3f6d6df1f84466a" );
+    ( "materialised + repair",
+      "topology = regular\nprotocol = bef\ncrash_rate = 0.01\n\
+       recover_rate = 0.2\nmax_epochs = 4\nseed = 14",
+      "e721a117bfa0c6d5" );
+    ( "join/leave + repair",
+      "topology = regular\nprotocol = bef\njoin_prob = 0.1\n\
+       leave_prob = 0.1\nmax_epochs = 4\nseed = 15",
+      "1c0690e29f5189ae" );
+    ( "churn_rate",
+      "topology = regular\nprotocol = push\nchurn_rate = 0.01\nseed = 16",
+      "7fa637ffcba27b9e" );
+    ( "source = first",
+      "topology = hypercube\nprotocol = bef\nsource = first\nseed = 17",
+      "2204498c018d9e28" );
+  ]
+
+let test_run_rep_goldens () =
+  List.iter
+    (fun (name, text, want) ->
+      match Scenario.parse ("n = 512\nd = 8\n" ^ text) with
+      | Error e -> Alcotest.failf "%s: %s" name e
+      | Ok s ->
+          Alcotest.(check string) name want
+            (Chaos.digest_of_result
+               (Scenario.run_rep s (Rng.create s.Scenario.seed))))
+    run_rep_goldens
+
 let test_sample_deterministic () =
   let take seed =
     let rng = Rng.create seed in
@@ -465,6 +508,8 @@ let () =
             test_run_one_deterministic;
           Alcotest.test_case "run_one stops like run_rep" `Quick
             test_run_one_matches_run_rep;
+          Alcotest.test_case "run_rep goldens per former branch" `Quick
+            test_run_rep_goldens;
           Alcotest.test_case "sample deterministic" `Quick
             test_sample_deterministic;
           Alcotest.test_case "scenario_text round-trips" `Quick

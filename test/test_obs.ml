@@ -117,17 +117,6 @@ let test_timed_span () =
   | Some (Json.Obj _) -> ()
   | _ -> Alcotest.fail "span json has no gc object"
 
-let test_counters () =
-  let c = Metrics.counters () in
-  Metrics.incr c "push";
-  Metrics.incr c "push";
-  Metrics.add c "pull" 5;
-  Alcotest.(check int) "push" 2 (Metrics.get c "push");
-  Alcotest.(check int) "pull" 5 (Metrics.get c "pull");
-  Alcotest.(check int) "absent" 0 (Metrics.get c "drop");
-  Alcotest.(check string) "sorted json" "{\"pull\":5,\"push\":2}"
-    (Json.to_string (Metrics.counters_to_json c))
-
 (* --- serializers --- *)
 
 let test_summary_schema () =
@@ -352,7 +341,6 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "timed span" `Quick test_timed_span;
-          Alcotest.test_case "counters" `Quick test_counters;
         ] );
       ( "serializers",
         [

@@ -344,6 +344,29 @@ let test_service_on_terminal_fires_once () =
         (wait_for (fun () -> Atomic.get fired >= 6)));
   Alcotest.(check int) "exactly once per session" 6 (Atomic.get fired)
 
+(* Sessions share the scenario stopping rule: bef runs its phase
+   schedule out (quiescing after phase 3 when nobody is active in
+   phase 4) instead of stopping at the first fully-informed round. *)
+let test_service_bef_runs_schedule_out () =
+  let spec = { quick_spec with Session.protocol = "bef"; seed = 5 } in
+  with_service (fun svc ->
+      let s = submit_ok svc spec in
+      Alcotest.(check bool) "terminal" true
+        (wait_for (fun () -> Session.is_terminal s));
+      let params =
+        Rumor_core.Params.make ~alpha:spec.Session.alpha
+          ~fanout:spec.Session.fanout ~n_estimate:spec.Session.n
+          ~d:spec.Session.d ()
+      in
+      let sched = Rumor_core.Algorithm.schedule_of params None in
+      match s.Session.stats with
+      | Some st ->
+          let r = st.Session.rounds in
+          if r <> sched.Rumor_core.Phase.p3_end && r <> sched.last then
+            Alcotest.failf "bef session stopped at round %d, schedule p3_end %d last %d"
+              r sched.p3_end sched.last
+      | None -> Alcotest.fail "missing run stats")
+
 let test_service_crash_failover () =
   with_service (fun svc ->
       let s =
@@ -615,6 +638,8 @@ let () =
             test_service_completes_sessions;
           Alcotest.test_case "on_terminal exactly once" `Quick
             test_service_on_terminal_fires_once;
+          Alcotest.test_case "bef runs its schedule out" `Quick
+            test_service_bef_runs_schedule_out;
           Alcotest.test_case "crash failover" `Slow test_service_crash_failover;
           Alcotest.test_case "wedge deposition" `Slow
             test_service_wedge_deposed;

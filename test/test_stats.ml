@@ -1,9 +1,8 @@
-(* Tests for the rumor_stats library: summaries, histograms, regression,
+(* Tests for the rumor_stats library: summaries, regression,
    tables and experiment replication. *)
 
 module Rng = Rumor_rng.Rng
 module Summary = Rumor_stats.Summary
-module Histogram = Rumor_stats.Histogram
 module Regression = Rumor_stats.Regression
 module Table = Rumor_stats.Table
 module Experiment = Rumor_stats.Experiment
@@ -63,51 +62,6 @@ let test_summary_pp () =
   let str = Format.asprintf "%a" Summary.pp s in
   Alcotest.(check bool) "non-empty" true (String.length str > 0)
 
-(* --- Histogram --- *)
-
-let test_histogram_binning () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  Histogram.add h 0.5;
-  Histogram.add h 1.;
-  Histogram.add h 9.9;
-  Alcotest.(check int) "count" 3 (Histogram.count h);
-  Alcotest.(check int) "first bin" 2 (Histogram.bin_count h 0);
-  Alcotest.(check int) "last bin" 1 (Histogram.bin_count h 4);
-  Alcotest.(check int) "middle empty" 0 (Histogram.bin_count h 2)
-
-let test_histogram_clamping () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:2 in
-  Histogram.add h (-5.);
-  Histogram.add h 42.;
-  Alcotest.(check int) "low clamps" 1 (Histogram.bin_count h 0);
-  Alcotest.(check int) "high clamps" 1 (Histogram.bin_count h 1)
-
-let test_histogram_bounds () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:5 in
-  let lo, hi = Histogram.bin_bounds h 1 in
-  checkf "bin lo" 2. lo;
-  checkf "bin hi" 4. hi;
-  Alcotest.check_raises "bad index" (Invalid_argument "Histogram.bin_count")
-    (fun () -> ignore (Histogram.bin_count h 5))
-
-let test_histogram_validation () =
-  Alcotest.check_raises "no bins" (Invalid_argument "Histogram.create: bins < 1")
-    (fun () -> ignore (Histogram.create ~lo:0. ~hi:1. ~bins:0));
-  Alcotest.check_raises "bad range" (Invalid_argument "Histogram.create: hi <= lo")
-    (fun () -> ignore (Histogram.create ~lo:1. ~hi:1. ~bins:3))
-
-let test_histogram_rejects_non_finite () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:2 in
-  let reject x =
-    Alcotest.check_raises "non-finite"
-      (Invalid_argument "Histogram.add: non-finite sample") (fun () ->
-        Histogram.add h x)
-  in
-  reject Float.nan;
-  reject Float.infinity;
-  reject Float.neg_infinity;
-  Alcotest.(check int) "nothing recorded" 0 (Histogram.count h)
-
 let test_summary_nan_ordering () =
   (* Float.compare sorts NaN below every number, so the finite order
      statistics of a NaN-free sample are unaffected by the sort being
@@ -118,12 +72,6 @@ let test_summary_nan_ordering () =
   checkf "max" 3. s.Summary.max;
   let with_nan = Summary.of_list [ 2.; Float.nan; 1. ] in
   checkf "nan sorts first" 2. with_nan.Summary.max
-
-let test_histogram_pp () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:2 in
-  Histogram.add h 0.25;
-  let s = Format.asprintf "%a" Histogram.pp h in
-  Alcotest.(check bool) "renders" true (String.length s > 0)
 
 (* --- Regression --- *)
 
@@ -352,18 +300,6 @@ let prop_summary_shift =
       let s2 = Summary.of_list (List.map (fun x -> x +. c) l) in
       abs_float (s2.Summary.mean -. (s1.Summary.mean +. c)) < 1e-6)
 
-let prop_histogram_conserves =
-  QCheck.Test.make ~count:200 ~name:"histogram bins sum to the count"
-    QCheck.(list (float_bound_exclusive 10.))
-    (fun l ->
-      let h = Histogram.create ~lo:0. ~hi:10. ~bins:7 in
-      List.iter (Histogram.add h) l;
-      let total = ref 0 in
-      for i = 0 to 6 do
-        total := !total + Histogram.bin_count h i
-      done;
-      !total = List.length l && Histogram.count h = List.length l)
-
 let prop_regression_recovers_line =
   QCheck.Test.make ~count:100 ~name:"regression is exact on exact lines"
     QCheck.(pair (float_range (-10.) 10.) (float_range (-10.) 10.))
@@ -381,7 +317,6 @@ let qcheck_cases =
     [
       prop_summary_bounds;
       prop_summary_shift;
-      prop_histogram_conserves;
       prop_regression_recovers_line;
     ]
 
@@ -399,16 +334,6 @@ let () =
           Alcotest.test_case "ci shrinks" `Quick test_ci_shrinks;
           Alcotest.test_case "nan ordering" `Quick test_summary_nan_ordering;
           Alcotest.test_case "pp" `Quick test_summary_pp;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "binning" `Quick test_histogram_binning;
-          Alcotest.test_case "clamping" `Quick test_histogram_clamping;
-          Alcotest.test_case "bounds" `Quick test_histogram_bounds;
-          Alcotest.test_case "validation" `Quick test_histogram_validation;
-          Alcotest.test_case "rejects non-finite" `Quick
-            test_histogram_rejects_non_finite;
-          Alcotest.test_case "pp" `Quick test_histogram_pp;
         ] );
       ( "regression",
         [
