@@ -4,11 +4,13 @@
    Every experiment prints an ASCII table with the measured shape of a
    claim from the paper (the paper is purely theoretical — it has no
    empirical tables, so the theorem statements define the targets; see
-   EXPERIMENTS.md for the paper-vs-measured record).
+   EXPERIMENTS.md for the paper-vs-measured record). The grid
+   experiments run committed scenarios/matrix_*.txt files through
+   Matrix.run and print Matrix.table; the others are hand-written.
 
    With --json FILE the harness additionally writes one machine-readable
-   record per experiment (schema "rumor-bench/1": id, title, params,
-   per-seed metrics, summaries, wall/CPU seconds, GC deltas, git
+   record per experiment (schema "rumor-bench/1", built by
+   Rumor_obs.Benchdoc: id, title, wall/CPU seconds, GC deltas, data, git
    metadata) so performance trajectories can be diffed across PRs —
    see EXPERIMENTS.md for the schema and `rumor bench-check` for the
    validator.
@@ -24,16 +26,13 @@ module Regular = Rumor_gen.Regular
 module Product = Rumor_gen.Product
 module Engine = Rumor_sim.Engine
 module Topology = Rumor_sim.Topology
-module Fault = Rumor_sim.Fault
 module Trace = Rumor_sim.Trace
-module Selector = Rumor_sim.Selector
 module Params = Rumor_core.Params
 module Phase = Rumor_core.Phase
 module Algorithm = Rumor_core.Algorithm
 module Baselines = Rumor_core.Baselines
 module Run = Rumor_core.Run
 module Overlay = Rumor_p2p.Overlay
-module Churn = Rumor_p2p.Churn
 module Replica = Rumor_p2p.Replica
 module Summary = Rumor_stats.Summary
 module Table = Rumor_stats.Table
@@ -41,7 +40,7 @@ module Regression = Rumor_stats.Regression
 module Experiment = Rumor_stats.Experiment
 module Json = Rumor_obs.Json
 module Metrics = Rumor_obs.Metrics
-module Encode = Rumor_obs.Encode
+module Benchdoc = Rumor_obs.Benchdoc
 module Chaos = Rumor_cli.Chaos
 module Scenario = Rumor_cli.Scenario
 module Matrix = Rumor_cli.Matrix
@@ -59,25 +58,22 @@ let domains () =
 
 (* --- telemetry ---
 
-   When --json FILE is given, experiments append (key, value) pairs to
-   [current_data] via [record]; the driver wraps each experiment in a
-   Metrics.timed span and assembles one record per experiment. Without
-   --json, [record] is a no-op and the harness behaves exactly as
-   before. *)
+   When --json FILE is given, experiments add named fields to the
+   record's [data] via [record] (A11 also collects [data.points] via
+   [record_point]); the driver wraps each experiment in a Metrics.timed
+   span and assembles one record per experiment. Without --json both
+   are no-ops. *)
 
 let json_path : string option ref = ref None
 let current_points : Json.t list ref = ref []
-let current_scalars : (string * Json.t) list ref = ref []
+let current_fields : (string * Json.t) list ref = ref []
 let current_title = ref ""
 
-(* A repeated measurement (one per sweep point) — lands in the record's
-   [data.points] array, in emission order. *)
 let record_point v =
   if !json_path <> None then current_points := v :: !current_points
 
-(* A one-shot named value (a fit, a derived constant). *)
 let record key v =
-  if !json_path <> None then current_scalars := (key, v) :: !current_scalars
+  if !json_path <> None then current_fields := (key, v) :: !current_fields
 
 let section id title =
   current_title := title;
@@ -87,61 +83,51 @@ let fin x = float_of_int x
 let log2 = Params.log2
 
 (* One protocol run on a fresh G(n,d) instance; returns the engine result. *)
-let run_once ?fault ?(stop = false) ~rng ~n ~d protocol =
+let run_once ?(stop = false) ~rng ~n ~d protocol =
   let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-  Run.once ?fault ~stop_when_complete:stop ~rng ~graph:g ~protocol
+  Run.once ~stop_when_complete:stop ~rng ~graph:g ~protocol
     ~source:(Run.random_source rng g) ()
 
-type sweep_point = {
-  tx_per_node : Summary.t;
-  rounds : Summary.t;
-  success : float;
-  per_seed_tx : float list;  (** tx/node, one entry per repetition *)
-  per_seed_rounds : float list;  (** completion (or last) round per repetition *)
+let mean_of f results = Summary.((of_list (List.map f results)).mean)
+
+let success_rate results =
+  mean_of (fun r -> if Engine.success r then 1. else 0.) results
+
+let eff_rounds r =
+  fin (Option.value r.Engine.completion_round ~default:r.Engine.rounds)
+
+(* Mean tx/node and mean completion (or last) round over [reps ()]
+   fresh instances — for the sections that are not matrix grids. *)
+let sweep ?(stop = false) ~seed ~n ~d protocol_of =
+  let results =
+    Experiment.replicate_parallel ~domains:(domains ()) ~seed ~reps:(reps ())
+      (fun rng -> run_once ~stop ~rng ~n ~d (protocol_of ()))
+  in
+  ( mean_of (fun r -> fin (Engine.transmissions r) /. fin n) results,
+    mean_of eff_rounds results )
+
+(* --- matrix-backed sections ---
+
+   A grid experiment is a list of committed scenarios/matrix_*.txt
+   files, each run by Matrix.run and printed by Matrix.table; its
+   record's [data] is Matrix.data_json over the cells of all its files.
+   --quick patches a file with Matrix.set_base / Matrix.override_axis,
+   which keep the offset-seed arithmetic of the full grid, so a quick
+   cell runs on the same stream as the full grid's cell. A section's
+   post-pass computes only what the matrix metrics cannot express. *)
+
+type patch = Base of string * string | Axis of string * string list
+
+type grid = {
+  id : string;
+  files : (string * patch list) list;  (** file, its --quick patches *)
+  takes_reps : bool;  (** --reps (and the mode's default) sets [reps] *)
+  post : unit -> Matrix.run_result list -> unit;
+      (** staged: applied to [()] before the grid runs, then to the
+          results of its files, in order *)
 }
 
-(* Summaries over a list of raw engine results — shared between the
-   inline [sweep] loops and the matrix-file wrappers, so a migrated
-   experiment rebuilds exactly the numbers its loop used to print. *)
-let sweep_point_of ~n results =
-  let per_seed_tx =
-    List.map (fun r -> fin (Engine.transmissions r) /. fin n) results
-  in
-  let per_seed_rounds =
-    List.map
-      (fun r ->
-        match r.Engine.completion_round with
-        | Some c -> fin c
-        | None -> fin r.Engine.rounds)
-      results
-  in
-  {
-    tx_per_node = Summary.of_list per_seed_tx;
-    rounds = Summary.of_list per_seed_rounds;
-    success =
-      fin (List.length (List.filter Engine.success results))
-      /. fin (List.length results);
-    per_seed_tx;
-    per_seed_rounds;
-  }
-
-let sweep ?fault ?(stop = false) ~seed ~n ~d protocol_of =
-  sweep_point_of ~n
-    (Experiment.replicate_parallel ~domains:(domains ()) ~seed
-       ~reps:(reps ()) (fun rng ->
-         run_once ?fault ~stop ~rng ~n ~d (protocol_of ())))
-
-(* --- committed matrix files ---
-
-   The migrated experiments (E1, E7's loss x estimate grid, E8, A12,
-   A13) load their sweep grids from scenarios/matrix_*.txt instead of
-   hardcoded loops. The wrappers patch the committed file for
-   --quick/--reps (Matrix.set_base / Matrix.override_axis keep the
-   per-cell seed arithmetic of the full grid) and rebuild the
-   historical tables and JSON points from the raw per-cell engine
-   results, so the emitted records are bit-identical to the
-   pre-migration loops: same offset seeds, same streams, same
-   scalars. *)
+let no_post () _ = ()
 
 let scenarios_dir () =
   if Sys.file_exists (Filename.concat "scenarios" "matrix_e1.txt") then
@@ -158,61 +144,62 @@ let scenarios_dir () =
     if Sys.file_exists (Filename.concat cand "matrix_e1.txt") then cand
     else failwith "cannot locate the scenarios/ directory"
 
-let load_matrix file =
-  match Matrix.parse_file (Filename.concat (scenarios_dir ()) file) with
-  | Ok spec -> spec
-  | Error m -> failwith (Printf.sprintf "%s: %s" file m)
+let ok_or_fail what = function
+  | Ok v -> v
+  | Error m -> failwith (Printf.sprintf "%s: %s" what m)
 
-let patch_base spec ~key ~value =
-  match Matrix.set_base spec ~key ~value with
-  | Ok spec -> spec
-  | Error m -> failwith m
+let apply_patch file spec = function
+  | Base (key, value) -> ok_or_fail file (Matrix.set_base spec ~key ~value)
+  | Axis (key, values) ->
+      ok_or_fail file (Matrix.override_axis spec ~key ~values)
 
-let patch_axis spec ~key ~values =
-  match Matrix.override_axis spec ~key ~values with
-  | Ok spec -> spec
-  | Error m -> failwith m
+let outcomes rrs = List.concat_map (fun rr -> rr.Matrix.outcomes) rrs
 
-let run_matrix spec =
-  match Matrix.run ~domains:(domains ()) spec with
-  | Ok rr -> rr
-  | Error m -> failwith m
+let coord (o : Matrix.cell_outcome) key =
+  List.assoc key o.Matrix.cell.Matrix.coords
 
-(* The raw engine results of the cell whose coordinates contain every
-   (key, value) of [subset] — subset matching keeps the wrappers
-   independent of zip-key ordering inside [coords]. *)
-let results_where rr subset =
-  match
-    List.find_opt
-      (fun (o : Matrix.cell_outcome) ->
-        List.for_all
-          (fun kv -> List.mem kv o.Matrix.cell.Matrix.coords)
-          subset)
-      rr.Matrix.outcomes
-  with
-  | Some o when o.Matrix.results <> [] -> o.Matrix.results
-  | _ ->
-      failwith
-        (Printf.sprintf "matrix cell {%s} missing (truncated run?)"
-           (String.concat ", "
-              (List.map (fun (k, v) -> k ^ " = " ^ v) subset)))
+let metric (o : Matrix.cell_outcome) key = List.assoc key o.Matrix.metrics
+let quick_n n = [ Base ("n", string_of_int n) ]
 
-(* One sweep point as a JSON object: summaries plus the raw per-seed
-   metrics, prefixed by caller-supplied parameter fields. *)
-let sweep_point_json ?(extra = []) pt =
-  Json.Obj
-    (extra
-    @ [
-        ("tx_per_node", Encode.summary pt.tx_per_node);
-        ("rounds", Encode.summary pt.rounds);
-        ("success_rate", Json.Float pt.success);
-        ( "per_seed",
-          Json.Obj
-            [
-              ("tx_per_node", Encode.float_list pt.per_seed_tx);
-              ("rounds", Encode.float_list pt.per_seed_rounds);
-            ] );
-      ])
+let run_grid ?(extra = []) g =
+  let specs =
+    List.map
+      (fun (file, quick_patches) ->
+        let spec =
+          ok_or_fail file
+            (Matrix.parse_file (Filename.concat (scenarios_dir ()) file))
+        in
+        List.fold_left (apply_patch file) spec
+          ((if g.takes_reps then [ Base ("reps", string_of_int (reps ())) ]
+            else [])
+          @ (if !quick then quick_patches else [])
+          @ extra))
+      g.files
+  in
+  section g.id (List.hd specs).Matrix.title;
+  let finish = g.post () in
+  let rrs =
+    List.mapi
+      (fun i spec ->
+        if i > 0 then Printf.printf "\n%s\n" spec.Matrix.title;
+        let rr =
+          ok_or_fail spec.Matrix.id (Matrix.run ~domains:(domains ()) spec)
+        in
+        Table.print (Matrix.table rr);
+        rr)
+      specs
+  in
+  let all =
+    {
+      (List.hd rrs) with
+      Matrix.outcomes = outcomes rrs;
+      truncated = List.exists (fun rr -> rr.Matrix.truncated) rrs;
+    }
+  in
+  (match Matrix.data_json all with
+  | Json.Obj fields -> List.iter (fun (k, v) -> record k v) fields
+  | _ -> ());
+  finish rrs
 
 (* ------------------------------------------------------------------ *)
 (* E0: do generated instances satisfy the proofs' assumptions?         *)
@@ -272,73 +259,19 @@ let e0 () =
 (* E1 + E2: transmissions and rounds vs n (Theorems 2 and 3).          *)
 (* ------------------------------------------------------------------ *)
 
-let e1_e2 () =
-  section "E1/E2" "message and round complexity vs n (Theorems 2/3)";
-  let d = 8 in
-  let sizes =
-    if !quick then [ 1024; 4096; 16384 ]
-    else [ 1024; 2048; 4096; 8192; 16384; 32768; 65536 ]
+(* The post-pass: per-doubling growth of tx/node, bef vs push. *)
+let e1_slope () rrs =
+  let series proto =
+    List.filter_map
+      (fun o ->
+        if coord o "protocol" = proto then
+          Some (float_of_string (coord o "n"), metric o "tx_per_node")
+        else None)
+      (outcomes rrs)
   in
-  (* The committed grid is the full 3 protocols x 7 sizes; --quick
-     shrinks the n axis in place (list positions keep the historical
-     100+i / 200+i / 300+i seeds the quick loops used). *)
-  let spec = load_matrix "matrix_e1.txt" in
-  let spec = patch_base spec ~key:"reps" ~value:(string_of_int (reps ())) in
-  let spec =
-    if !quick then
-      patch_axis spec ~key:"n" ~values:(List.map string_of_int sizes)
-    else spec
-  in
-  let rr = run_matrix spec in
-  let cell proto n =
-    results_where rr [ ("protocol", proto); ("n", string_of_int n) ]
-  in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("log2 n", Table.Right);
-          ("bef tx/node", Table.Right);
-          ("push tx/node", Table.Right);
-          ("pp-age tx/node", Table.Right);
-          ("bef rounds", Table.Right);
-          ("push rounds", Table.Right);
-          ("bef ok", Table.Right);
-        ]
-  in
-  let bef_pts = ref [] and push_pts = ref [] in
-  List.iter
-    (fun n ->
-      let bef = sweep_point_of ~n (cell "bef" n) in
-      let push = sweep_point_of ~n (cell "push" n) in
-      let pp_age = sweep_point_of ~n (cell "push-pull-age" n) in
-      bef_pts := (fin n, bef.tx_per_node.Summary.mean) :: !bef_pts;
-      push_pts := (fin n, push.tx_per_node.Summary.mean) :: !push_pts;
-      record_point
-        (Json.Obj
-           [
-             ("n", Json.Int n);
-             ("d", Json.Int d);
-             ("bef", sweep_point_json bef);
-             ("push", sweep_point_json push);
-             ("push_pull_age", sweep_point_json pp_age);
-           ]);
-      Table.add_row t
-        [
-          string_of_int n;
-          Printf.sprintf "%.0f" (log2 (fin n));
-          Printf.sprintf "%.1f" bef.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" push.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" pp_age.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" bef.rounds.Summary.mean;
-          Printf.sprintf "%.1f" push.rounds.Summary.mean;
-          Printf.sprintf "%.0f%%" (100. *. bef.success);
-        ])
-    sizes;
-  Table.print t;
-  let bef_fit = Regression.semilogx !bef_pts in
-  let push_fit = Regression.semilogx !push_pts in
+  let bef_pts = series "bef" and push_pts = series "push" in
+  let bef_fit = Regression.semilogx bef_pts in
+  let push_fit = Regression.semilogx push_pts in
   record "per_doubling_slope"
     (Json.Obj
        [
@@ -353,9 +286,18 @@ let e1_e2 () =
     (Rumor_stats.Plot.render ~width:56 ~height:12 ~x_label:"log2 n"
        ~y_label:"tx/node"
        [
-         { Rumor_stats.Plot.name = "bef"; marker = '*'; points = to_log2x !bef_pts };
-         { Rumor_stats.Plot.name = "push"; marker = 'o'; points = to_log2x !push_pts };
+         { Rumor_stats.Plot.name = "bef"; marker = '*'; points = to_log2x bef_pts };
+         { Rumor_stats.Plot.name = "push"; marker = 'o'; points = to_log2x push_pts };
        ])
+
+let e1 =
+  {
+    id = "E1";
+    files =
+      [ ("matrix_e1.txt", [ Axis ("n", [ "1024"; "4096"; "16384" ]) ]) ];
+    takes_reps = true;
+    post = e1_slope;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E3: the lower bound shape (Theorem 1).                              *)
@@ -417,24 +359,24 @@ let e3 () =
     (fun i d ->
       let tail = minimal_tail ~seed:(400 + i) ~n ~d ~fanout:1 in
       let push_rounds = Params.ceil_log2 n + 2 in
-      let tuned =
+      let tuned_tx, _ =
         sweep ~seed:(500 + i) ~n ~d (fun () ->
             Baselines.push_then_pull ~push_rounds
               ~total_rounds:(push_rounds + tail) ())
       in
-      let bef =
+      let bef_tx, _ =
         sweep ~seed:(600 + i) ~n ~d (fun () ->
             Algorithm.make (Params.make ~n_estimate:n ~d ()))
       in
       let x = log2 (fin n) /. log2 (fin d) in
-      pts := (x, tuned.tx_per_node.Summary.mean) :: !pts;
+      pts := (x, tuned_tx) :: !pts;
       Table.add_row t
         [
           string_of_int d;
           Printf.sprintf "%.2f" x;
           string_of_int tail;
-          Printf.sprintf "%.1f" tuned.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" bef.tx_per_node.Summary.mean;
+          Printf.sprintf "%.1f" tuned_tx;
+          Printf.sprintf "%.1f" bef_tx;
         ])
     degs;
   Table.print t;
@@ -510,365 +452,107 @@ let e4 () =
 (* E5: degree sweep across the Algorithm 1 / Algorithm 2 crossover.    *)
 (* ------------------------------------------------------------------ *)
 
-let e5 () =
-  section "E5" "degree sweep: Algorithm 1 vs Algorithm 2 (Theorems 2 vs 3)";
-  let n = if !quick then 4096 else 16384 in
-  let degs = [ 4; 6; 8; 12; 16; 24; 32 ] in
+(* The post-pass: which of Algorithm 1 (small degree) or Algorithm 2
+   (large degree) bef picked for each d. *)
+let e5_variants () rrs =
+  let variants =
+    List.map
+      (fun o ->
+        let s = o.Matrix.cell.Matrix.scenario in
+        let params = Params.make ~n_estimate:s.Scenario.n ~d:s.Scenario.d () in
+        ( coord o "d",
+          Phase.variant_to_string (Phase.auto_variant params) ))
+      (outcomes rrs)
+  in
+  Printf.printf "variant per d: %s\n"
+    (String.concat ", " (List.map (fun (d, v) -> d ^ " " ^ v) variants));
+  record "variants"
+    (Json.Obj (List.map (fun (d, v) -> (d, Json.String v)) variants))
+
+let e5 =
+  {
+    id = "E5";
+    files = [ ("matrix_e5.txt", quick_n 4096) ];
+    takes_reps = true;
+    post = e5_variants;
+  }
+
+let e6 =
+  {
+    id = "E6";
+    files = [ ("matrix_e6.txt", quick_n 4096) ];
+    takes_reps = true;
+    post = no_post;
+  }
+
+(* E7: the loss x estimate grid, then crash schedules under bursty
+   loss (crash_count is n/8, so --quick patches it with n). *)
+let e7 =
+  {
+    id = "E7";
+    files =
+      [
+        ("matrix_e7.txt", quick_n 4096);
+        ("matrix_e7_crash.txt", quick_n 4096 @ [ Base ("crash_count", "512") ]);
+      ];
+    takes_reps = true;
+    post = no_post;
+  }
+
+(* E8's post-pass. A crashed-with-amnesia source can kill the rumor
+   before it spreads; with no live knower left no protocol can recover
+   it, so the repair arm's extinct seeds are counted apart and its
+   coverage is also given over the surviving seeds. *)
+let e8_survivors () rrs =
   let t =
     Table.create
       ~columns:
         [
-          ("d", Table.Right);
-          ("variant", Table.Left);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-          ("success", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i d ->
-      let params = Params.make ~n_estimate:n ~d () in
-      let variant = Phase.auto_variant params in
-      let st = sweep ~seed:(700 + i) ~n ~d (fun () -> Algorithm.make params) in
-      Table.add_row t
-        [
-          string_of_int d;
-          Phase.variant_to_string variant;
-          Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" st.rounds.Summary.mean;
-          Printf.sprintf "%.0f%%" (100. *. st.success);
-        ])
-    degs;
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* E6: communication failures.                                         *)
-(* ------------------------------------------------------------------ *)
-
-let e6 () =
-  section "E6" "robustness to communication failures (abstract / Section 1)";
-  let n = if !quick then 4096 else 16384 in
-  let d = 8 in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("link loss", Table.Right);
-          ("alpha", Table.Right);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i loss ->
-      List.iter
-        (fun alpha ->
-          let fault = Fault.make ~link_loss:loss () in
-          let results =
-            Experiment.replicate_parallel ~domains:(domains ()) ~seed:(800 + i) ~reps:(reps ()) (fun rng ->
-                run_once ~fault ~rng ~n ~d
-                  (Algorithm.make (Params.make ~alpha ~n_estimate:n ~d ())))
-          in
-          let cov_per_seed =
-            List.map
-              (fun r -> fin r.Engine.informed /. fin r.Engine.population)
-              results
-          in
-          let tx_per_seed =
-            List.map (fun r -> fin (Engine.transmissions r) /. fin n) results
-          in
-          let coverage = Summary.of_list cov_per_seed in
-          let success =
-            fin (List.length (List.filter Engine.success results))
-            /. fin (List.length results)
-          in
-          let tx = Summary.of_list tx_per_seed in
-          record_point
-            (Json.Obj
-               [
-                 ("link_loss", Json.Float loss);
-                 ("alpha", Json.Float alpha);
-                 ("n", Json.Int n);
-                 ("d", Json.Int d);
-                 ("success_rate", Json.Float success);
-                 ("coverage", Encode.summary coverage);
-                 ("tx_per_node", Encode.summary tx);
-                 ( "per_seed",
-                   Json.Obj
-                     [
-                       ("coverage", Encode.float_list cov_per_seed);
-                       ("tx_per_node", Encode.float_list tx_per_seed);
-                     ] );
-               ]);
-          Table.add_row t
-            [
-              Printf.sprintf "%.2f" loss;
-              Printf.sprintf "%.1f" alpha;
-              Printf.sprintf "%.0f%%" (100. *. success);
-              Printf.sprintf "%.4f" coverage.Summary.mean;
-              Printf.sprintf "%.1f" tx.Summary.mean;
-            ])
-        [ 1.0; 2.0 ])
-    [ 0.; 0.05; 0.1; 0.2 ];
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* E7: inaccurate estimates of n.                                      *)
-(* ------------------------------------------------------------------ *)
-
-let e7 () =
-  section "E7"
-    "fault intensity x size-estimate error frontier (Sections 1.2 and 4)";
-  let n = if !quick then 4096 else 16384 in
-  let d = 8 in
-  (* alpha = 2 doubles every phase length, the slack the paper's
-     "limited communication failures" analysis budgets for. Bursty loss
-     is the harsher model: a Gilbert-Elliott chain with mean burst
-     length 4 rounds, so a node in a bad state loses an entire phase of
-     transmissions, not an independent coin flip per message. *)
-  let alpha = 2.0 in
-  let burst_len = 4.0 in
-  (* The loss x estimate grid lives in scenarios/matrix_e7.txt (offset
-     seeds 900 + 10i + j); --quick only shrinks n. The scenario key
-     n_error is the estimate/n factor: ceil(n_error * n) equals the
-     historical int_of_float (n * factor) for these exact binary
-     factors at power-of-two n. *)
-  let spec = load_matrix "matrix_e7.txt" in
-  let spec = patch_base spec ~key:"reps" ~value:(string_of_int (reps ())) in
-  let spec =
-    if !quick then patch_base spec ~key:"n" ~value:(string_of_int n)
-    else spec
-  in
-  let rr = run_matrix spec in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("burst loss", Table.Right);
-          ("est/n", Table.Right);
-          ("success", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iter
-    (fun loss_s ->
-      List.iter
-        (fun factor_s ->
-          let loss = float_of_string loss_s
-          and factor = float_of_string factor_s in
-          let st =
-            sweep_point_of ~n
-              (results_where rr
-                 [ ("burst_loss", loss_s); ("n_error", factor_s) ])
-          in
-          record_point
-            (sweep_point_json
-               ~extra:
-                 [
-                   ("burst_loss", Json.Float loss);
-                   ("estimate_factor", Json.Float factor);
-                   ("n", Json.Int n);
-                   ("d", Json.Int d);
-                   ("alpha", Json.Float alpha);
-                 ]
-               st);
-          Table.add_row t
-            [
-              Printf.sprintf "%.2f" loss;
-              Printf.sprintf "%.3f" factor;
-              Printf.sprintf "%.0f%%" (100. *. st.success);
-              Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-              Printf.sprintf "%.1f" st.rounds.Summary.mean;
-            ])
-        [ "0.125"; "0.25"; "1"; "4"; "8" ])
-    [ "0"; "0.05"; "0.1"; "0.2" ];
-  Table.print t;
-  (* Adversarial crash schedules on top of 10% bursty loss. *)
-  let t2 =
-    Table.create
-      ~columns:
-        [
-          ("crash schedule", Table.Left);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-        ]
-  in
-  let burst = Fault.burst ~loss:0.1 ~burst_len in
-  List.iteri
-    (fun i (label, plan) ->
-      let fault = { plan with Fault.burst = Some burst } in
-      let results =
-        Experiment.replicate_parallel ~domains:(domains ()) ~seed:(950 + i)
-          ~reps:(reps ()) (fun rng ->
-            run_once ~fault ~rng ~n ~d
-              (Algorithm.make (Params.make ~alpha ~n_estimate:n ~d ())))
-      in
-      let success =
-        fin (List.length (List.filter Engine.success results))
-        /. fin (List.length results)
-      in
-      let coverage =
-        Summary.of_list
-          (List.map
-             (fun r ->
-               if r.Engine.population = 0 then 0.
-               else fin r.Engine.informed /. fin r.Engine.population)
-             results)
-      in
-      let tx =
-        Summary.of_list
-          (List.map (fun r -> fin (Engine.transmissions r) /. fin n) results)
-      in
-      Table.add_row t2
-        [
-          label;
-          Printf.sprintf "%.0f%%" (100. *. success);
-          Printf.sprintf "%.4f" coverage.Summary.mean;
-          Printf.sprintf "%.1f" tx.Summary.mean;
-        ])
-    [
-      ("crash-stop 0.2%/round", Fault.plan ~crash_rate:0.002 ());
-      ( "crash-recovery 1%/round, recover 20%",
-        Fault.plan ~crash_rate:0.01 ~recover_rate:0.2 () );
-      ( "strike: random n/8 @ round 3",
-        Fault.plan
-          ~strike:
-            (Fault.strike ~adversary:Fault.Random_nodes ~at_round:3
-               ~count:(n / 8) ())
-          () );
-      ( "strike: highest-degree n/8 @ round 3",
-        Fault.plan
-          ~strike:
-            (Fault.strike ~adversary:Fault.Highest_degree ~at_round:3
-               ~count:(n / 8) ())
-          () );
-    ];
-  Table.print t2
-
-(* ------------------------------------------------------------------ *)
-(* E8: the self-healing frontier (fault x churn, repair on/off).       *)
-(* ------------------------------------------------------------------ *)
-
-let e8 () =
-  section "E8"
-    "self-healing frontier: fault x churn grid, repair epochs on/off";
-  let n = if !quick then 2048 else 8192 in
-  (* The fault x churn x repair grid lives in scenarios/matrix_e8.txt:
-     the three fault storms are one axis (burst_len / crash_rate /
-     recover_rate zipped onto burst_loss), churn_rate the second,
-     max_epochs (0 = bare, 8 = repair) the third — the repair axis
-     carries no seed stride, so both arms of a (fault, churn) cell run
-     on identical storms, exactly as the old loops reused one seed. *)
-  let spec = load_matrix "matrix_e8.txt" in
-  let spec = patch_base spec ~key:"reps" ~value:(string_of_int (reps ())) in
-  let spec =
-    if !quick then patch_base spec ~key:"n" ~value:(string_of_int n)
-    else spec
-  in
-  let rr = run_matrix spec in
-  let faults =
-    [
-      ("none", "0");
-      ("burst 0.2 + crash", "0.2");
-      ("burst 0.3 + crash", "0.3");
-    ]
-  in
-  let churn_rates = [ ("0", 0.); ("0.005", 0.005); ("0.02", 0.02) ] in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("fault", Table.Left);
-          ("churn/round", Table.Right);
-          ("cov (bare)", Table.Right);
-          ("cov (repair)", Table.Right);
-          ("epochs", Table.Right);
-          ("repair tx/node", Table.Right);
+          ("burst_loss", Table.Left);
+          ("churn_rate", Table.Left);
           ("extinct", Table.Right);
+          ("coverage (survivors)", Table.Right);
         ]
   in
-  List.iter
-    (fun (fault_label, loss_s) ->
-      List.iter
-        (fun (rate_s, rate) ->
-          let cell epochs_s =
-            results_where rr
-              [
-                ("burst_loss", loss_s);
-                ("churn_rate", rate_s);
-                ("max_epochs", epochs_s);
-              ]
+  let points =
+    List.filter_map
+      (fun o ->
+        if coord o "max_epochs" = "0" then None
+        else
+          let rs = o.Matrix.results in
+          let survivors = List.filter (fun r -> r.Engine.informed > 0) rs in
+          let extinct = List.length rs - List.length survivors in
+          let cov =
+            if survivors = [] then 0. else mean_of Engine.coverage survivors
           in
-          let bare = cell "0" in
-          let healed = cell "8" in
-          (* A crashed-with-amnesia source can kill the rumor before it
-             spreads; with no live knower left, no protocol can recover
-             it, so extinct seeds are counted apart instead of dragging
-             the repair coverage below a reachable target. *)
-          let survivors = List.filter (fun r -> r.Engine.informed > 0) healed in
-          let extinct = List.length healed - List.length survivors in
-          let coverage rs = List.map Engine.coverage rs in
-          let cov_bare = Summary.of_list (coverage bare) in
-          let cov_healed =
-            Summary.of_list
-              (if survivors = [] then [ 0. ] else coverage survivors)
-          in
-          let epochs =
-            Summary.of_list
-              (match survivors with
-              | [] -> [ 0. ]
-              | rs -> List.map (fun r -> fin (Engine.epochs_used r)) rs)
-          in
-          let repair_tx =
-            Summary.of_list
-              (match survivors with
-              | [] -> [ 0. ]
-              | rs -> List.map (fun r -> fin (Engine.repair_tx r) /. fin n) rs)
-          in
-          record_point
-            (Json.Obj
-               [
-                 ("fault", Json.String fault_label);
-                 ("churn_rate", Json.Float rate);
-                 ("coverage_bare", Encode.summary cov_bare);
-                 ("coverage_repair", Encode.summary cov_healed);
-                 ("epochs_used", Encode.summary epochs);
-                 ("repair_tx_per_node", Encode.summary repair_tx);
-                 ("extinct_seeds", Json.Int extinct);
-                 ( "per_seed",
-                   Json.Obj
-                     [
-                       ("coverage_bare", Encode.float_list (coverage bare));
-                       ("coverage_repair", Encode.float_list (coverage healed));
-                       ( "epochs_used",
-                         Encode.float_list
-                           (List.map (fun r -> fin (Engine.epochs_used r)) healed)
-                       );
-                     ] );
-               ]);
           Table.add_row t
             [
-              fault_label;
-              Printf.sprintf "%.3f n" rate;
-              Printf.sprintf "%.4f" cov_bare.Summary.mean;
-              Printf.sprintf "%.4f" cov_healed.Summary.mean;
-              Printf.sprintf "%.1f" epochs.Summary.mean;
-              Printf.sprintf "%.2f" repair_tx.Summary.mean;
+              coord o "burst_loss";
+              coord o "churn_rate";
               string_of_int extinct;
-            ])
-        churn_rates)
-    faults;
+              Printf.sprintf "%.4f" cov;
+            ];
+          Some
+            (Json.Obj
+               [
+                 ("burst_loss", Json.String (coord o "burst_loss"));
+                 ("churn_rate", Json.String (coord o "churn_rate"));
+                 ("extinct_seeds", Json.Int extinct);
+                 ("coverage_survivors", Json.Float cov);
+               ]))
+      (outcomes rrs)
+  in
+  print_endline "repair arm (max_epochs = 8) over the seeds where the rumor survived:";
   Table.print t;
-  print_endline
-    "(bare = engine stops when informed nodes go quiescent; repair = bounded\n\
-    \ pull-timeout/backoff epochs afterwards, averaged over seeds where the\n\
-    \ rumor survived. The repair column should sit at 1.0000 with a few\n\
-    \ epochs and O(1) extra transmissions per node; extinct counts seeds\n\
-    \ where crash amnesia killed every copy before it spread — unrecoverable\n\
-    \ by any protocol.)"
+  record "survivors" (Json.List points)
+
+let e8 =
+  {
+    id = "E8";
+    files = [ ("matrix_e8.txt", quick_n 2048) ];
+    takes_reps = true;
+    post = e8_survivors;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* E9: replicated database maintenance.                                *)
@@ -977,20 +661,8 @@ let e10 () =
             ~protocol:(Baselines.pull ~fanout ~horizon:400 ())
             ~sources ())
     in
-    let rounds =
-      Summary.of_list
-        (List.map
-           (fun r ->
-             match r.Engine.completion_round with
-             | Some c -> fin c
-             | None -> fin r.Engine.rounds)
-           results)
-    in
-    let tx =
-      Summary.of_list
-        (List.map (fun r -> fin (Engine.transmissions r) /. fin n) results)
-    in
-    (rounds.Summary.mean, tx.Summary.mean)
+    ( mean_of eff_rounds results,
+      mean_of (fun r -> fin (Engine.transmissions r) /. fin n) results )
   in
   let t =
     Table.create
@@ -1069,129 +741,76 @@ let e10 () =
 (* E11: how many choices are needed? (Conclusions)                     *)
 (* ------------------------------------------------------------------ *)
 
-let e11 () =
-  section "E11" "fanout sweep: are 3 choices enough? (Conclusions)";
-  let n = if !quick then 4096 else 16384 in
-  let d = 12 in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("fanout", Table.Right);
-          ("success", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i fanout ->
-      let st =
-        sweep ~seed:(1400 + i) ~n ~d (fun () ->
-            Algorithm.make (Params.make ~fanout ~n_estimate:n ~d ()))
-      in
-      Table.add_row t
-        [
-          string_of_int fanout;
-          Printf.sprintf "%.0f%%" (100. *. st.success);
-          Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" st.rounds.Summary.mean;
-        ])
-    [ 1; 2; 3; 4; 8 ];
-  Table.print t
+let e11 =
+  {
+    id = "E11";
+    files = [ ("matrix_e11.txt", quick_n 4096) ];
+    takes_reps = true;
+    post = no_post;
+  }
 
-(* ------------------------------------------------------------------ *)
-(* E12: related-work sanity checks.                                    *)
-(* ------------------------------------------------------------------ *)
-
-let e12 () =
-  section "E12" "push constant C_d (Fountoulakis-Panagiotou) and the memory variant [13]";
+(* E12's post-pass: push's completion rounds against C_d ln n, where
+   C_d = 1/ln(2(1 - 1/d)) - 1/(d ln(1 - 1/d)) (Fountoulakis-Panagiotou). *)
+let e12_ratio () rrs =
   let t =
     Table.create
       ~columns:
         [
           ("n", Table.Right);
           ("d", Table.Right);
-          ("push rounds", Table.Right);
           ("C_d ln n", Table.Right);
-          ("ratio", Table.Right);
+          ("rounds / C_d ln n", Table.Right);
         ]
   in
-  let sizes = if !quick then [ 4096 ] else [ 4096; 16384; 65536 ] in
-  List.iteri
-    (fun i n ->
-      List.iteri
-        (fun j d ->
-          let st =
-            sweep ~stop:true ~seed:(1500 + (10 * i) + j) ~n ~d (fun () ->
-                Baselines.push ~horizon:(30 * Params.ceil_log2 n) ())
-          in
-          let dd = fin d in
-          let c_d =
-            (1. /. log (2. *. (1. -. (1. /. dd))))
-            -. (1. /. (dd *. log (1. -. (1. /. dd))))
-          in
-          let predicted = c_d *. log (fin n) in
-          Table.add_row t
-            [
-              string_of_int n;
-              string_of_int d;
-              Printf.sprintf "%.1f" st.rounds.Summary.mean;
-              Printf.sprintf "%.1f" predicted;
-              Printf.sprintf "%.2f" (st.rounds.Summary.mean /. predicted);
-            ])
-        [ 4; 8; 16 ])
-    sizes;
+  let ratios =
+    List.map
+      (fun o ->
+        let s = o.Matrix.cell.Matrix.scenario in
+        let dd = fin s.Scenario.d in
+        let c_d =
+          (1. /. log (2. *. (1. -. (1. /. dd))))
+          -. (1. /. (dd *. log (1. -. (1. /. dd))))
+        in
+        let predicted = c_d *. log (fin s.Scenario.n) in
+        let ratio = metric o "rounds" /. predicted in
+        Table.add_row t
+          [
+            string_of_int s.Scenario.n;
+            string_of_int s.Scenario.d;
+            Printf.sprintf "%.1f" predicted;
+            Printf.sprintf "%.2f" ratio;
+          ];
+        Json.Float ratio)
+      (List.hd rrs).Matrix.outcomes
+  in
+  print_endline "\npush rounds against the Fountoulakis-Panagiotou constant:";
   Table.print t;
-  (* Memory variant vs the 4-choice model: same message budget class. *)
-  let n = if !quick then 4096 else 16384 in
-  let d = 8 in
-  let bef =
-    sweep ~seed:1600 ~n ~d (fun () ->
-        Algorithm.make (Params.make ~n_estimate:n ~d ()))
-  in
-  let memory =
-    sweep ~seed:1601 ~n ~d (fun () ->
-        Algorithm.sequentialised (Params.make ~n_estimate:n ~d ()))
-  in
-  Printf.printf
-    "memory variant [13] (1 call avoiding last 3): tx/node %.1f success %.0f%% | 4-choice: tx/node %.1f success %.0f%%\n"
-    memory.tx_per_node.Summary.mean (100. *. memory.success)
-    bef.tx_per_node.Summary.mean (100. *. bef.success)
+  record "rounds_over_c_d_ln_n" (Json.List ratios)
+
+let e12 =
+  {
+    id = "E12";
+    files =
+      [
+        ("matrix_e12.txt", [ Axis ("n", [ "4096" ]) ]);
+        ("matrix_e12_memory.txt", quick_n 4096);
+      ];
+    takes_reps = true;
+    post = e12_ratio;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Ablations and extensions.                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* A1: the phase-length constant alpha — reliability vs message cost. *)
-let a1 () =
-  section "A1" "ablation: phase-length constant alpha";
-  let n = if !quick then 4096 else 16384 in
-  let d = 8 in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("alpha", Table.Right);
-          ("success", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i alpha ->
-      let st =
-        sweep ~seed:(1800 + i) ~n ~d (fun () ->
-            Algorithm.make (Params.make ~alpha ~n_estimate:n ~d ()))
-      in
-      Table.add_row t
-        [
-          Printf.sprintf "%.2f" alpha;
-          Printf.sprintf "%.0f%%" (100. *. st.success);
-          Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" st.rounds.Summary.mean;
-        ])
-    [ 0.25; 0.5; 0.75; 1.0; 1.5; 2.0 ];
-  Table.print t
+let a1 =
+  {
+    id = "A1";
+    files = [ ("matrix_a1.txt", quick_n 4096) ];
+    takes_reps = true;
+    post = no_post;
+  }
 
 (* A2: clock skew — the paper assumes synchronised clocks. *)
 let a2 () =
@@ -1224,20 +843,16 @@ let a2 () =
               ~protocol:(Algorithm.make params) ~sources:[ 0 ] ())
       in
       let success =
-        fin (List.length (List.filter Engine.success results))
-        /. fin (List.length results)
+        success_rate results
       in
       let coverage =
-        Summary.of_list
-          (List.map
-             (fun r -> fin r.Engine.informed /. fin r.Engine.population)
-             results)
+        mean_of Engine.coverage results
       in
       Table.add_row t
         [
           string_of_int max_skew;
           Printf.sprintf "%.0f%%" (100. *. success);
-          Printf.sprintf "%.4f" coverage.Summary.mean;
+          Printf.sprintf "%.4f" coverage;
         ])
     [ 0; 1; 2; 4; 8 ];
   Table.print t
@@ -1301,15 +916,15 @@ let a4 () =
           ("self-terminating", Table.Left);
         ]
   in
-  let bef =
+  let bef_tx, bef_rounds =
     sweep ~seed:2100 ~n ~d (fun () ->
         Algorithm.make (Params.make ~n_estimate:n ~d ()))
   in
   Table.add_row t
     [
       "bef (age-based, oblivious)";
-      Printf.sprintf "%.1f" bef.tx_per_node.Summary.mean;
-      Printf.sprintf "%.1f" bef.rounds.Summary.mean;
+      Printf.sprintf "%.1f" bef_tx;
+      Printf.sprintf "%.1f" bef_rounds;
       "no (needs n estimate)";
     ];
   let mc =
@@ -1319,25 +934,21 @@ let a4 () =
         Rumor_core.Median_counter.run ~rng ~graph:g ~config ~source:0)
   in
   let mc_tx =
-    Summary.of_list
-      (List.map
-         (fun r -> fin r.Rumor_core.Median_counter.transmissions /. fin n)
-         mc)
+    mean_of (fun r -> fin r.Rumor_core.Median_counter.transmissions /. fin n) mc
   in
   let mc_done =
-    Summary.of_list
-      (List.map
-         (fun r ->
-           match r.Rumor_core.Median_counter.completion_round with
-           | Some c -> fin c
-           | None -> fin r.Rumor_core.Median_counter.rounds)
-         mc)
+    mean_of
+      (fun r ->
+        fin
+          (Option.value r.Rumor_core.Median_counter.completion_round
+             ~default:r.Rumor_core.Median_counter.rounds))
+      mc
   in
   Table.add_row t
     [
       "median-counter [25] (adaptive)";
-      Printf.sprintf "%.1f" mc_tx.Summary.mean;
-      Printf.sprintf "%.1f" mc_done.Summary.mean;
+      Printf.sprintf "%.1f" mc_tx;
+      Printf.sprintf "%.1f" mc_done;
       "yes (counters only)";
     ];
   Table.print t
@@ -1384,37 +995,24 @@ let a5 () =
               ~source:(Run.random_source rng g) ())
       in
       let success =
-        fin (List.length (List.filter Engine.success results))
-        /. fin (List.length results)
+        success_rate results
       in
       let coverage =
-        Summary.of_list
-          (List.map
-             (fun r -> fin r.Engine.informed /. fin r.Engine.population)
-             results)
+        mean_of Engine.coverage results
       in
       let tx =
-        Summary.of_list
-          (List.map
-             (fun r -> fin (Engine.transmissions r) /. fin r.Engine.population)
-             results)
+        mean_of (fun r -> fin (Engine.transmissions r) /. fin r.Engine.population) results
       in
       let comp =
-        Summary.of_list
-          (List.map
-             (fun r ->
-               match r.Engine.completion_round with
-               | Some c -> fin c
-               | None -> fin r.Engine.rounds)
-             results)
+        mean_of eff_rounds results
       in
       Table.add_row t
         [
           name;
           Printf.sprintf "%.0f%%" (100. *. success);
-          Printf.sprintf "%.4f" coverage.Summary.mean;
-          Printf.sprintf "%.1f" tx.Summary.mean;
-          Printf.sprintf "%.1f" comp.Summary.mean;
+          Printf.sprintf "%.4f" coverage;
+          Printf.sprintf "%.1f" tx;
+          Printf.sprintf "%.1f" comp;
         ])
     topologies;
   Table.print t
@@ -1489,20 +1087,16 @@ let a7 () =
               ~protocol:(Algorithm.make params) ~sources:[ 0 ] ())
       in
       let coverage =
-        Summary.of_list
-          (List.map
-             (fun r -> fin r.Engine.informed /. fin r.Engine.population)
-             results)
+        mean_of Engine.coverage results
       in
       let success =
-        fin (List.length (List.filter Engine.success results))
-        /. fin (List.length results)
+        success_rate results
       in
       Table.add_row t
         [
           label;
           Printf.sprintf "%.0f%%" (100. *. fraction);
-          Printf.sprintf "%.4f" coverage.Summary.mean;
+          Printf.sprintf "%.4f" coverage;
           Printf.sprintf "%.0f%%" (100. *. success);
         ])
     [
@@ -1556,25 +1150,20 @@ let a8 () =
               ~source:(Run.random_source rng g) ())
       in
       let coverage =
-        Summary.of_list
-          (List.map
-             (fun r -> fin r.Engine.informed /. fin r.Engine.population)
-             results)
+        mean_of Engine.coverage results
       in
       let success =
-        fin (List.length (List.filter Engine.success results))
-        /. fin (List.length results)
+        success_rate results
       in
       let tx =
-        Summary.of_list
-          (List.map (fun r -> fin (Engine.transmissions r) /. fin n) results)
+        mean_of (fun r -> fin (Engine.transmissions r) /. fin n) results
       in
       Table.add_row t
         [
           name;
           Printf.sprintf "%.0f%%" (100. *. success);
-          Printf.sprintf "%.4f" coverage.Summary.mean;
-          Printf.sprintf "%.1f" tx.Summary.mean;
+          Printf.sprintf "%.4f" coverage;
+          Printf.sprintf "%.1f" tx;
         ])
     cases;
   Table.print t;
@@ -1609,27 +1198,20 @@ let a9 () =
               run_once ~rng ~n ~d (proto_of ~rng ~k))
         in
         let residue =
-          Summary.of_list
-            (List.map
-               (fun r ->
-                 fin (r.Engine.population - r.Engine.informed)
-                 /. fin r.Engine.population)
-               results)
-        in
-        let tx =
-          Summary.of_list
-            (List.map (fun r -> fin (Engine.transmissions r) /. fin n) results)
-        in
-        let died =
-          Summary.of_list (List.map (fun r -> fin r.Engine.rounds) results)
+          mean_of
+            (fun r ->
+              fin (r.Engine.population - r.Engine.informed)
+              /. fin r.Engine.population)
+            results
         in
         Table.add_row t
           [
             name;
             string_of_int k;
-            Printf.sprintf "%.5f" residue.Summary.mean;
-            Printf.sprintf "%.1f" tx.Summary.mean;
-            Printf.sprintf "%.0f" died.Summary.mean;
+            Printf.sprintf "%.5f" residue;
+            Printf.sprintf "%.1f"
+              (mean_of (fun r -> fin (Engine.transmissions r) /. fin n) results);
+            Printf.sprintf "%.0f" (mean_of (fun r -> fin r.Engine.rounds) results);
           ])
       [ 1; 2; 4 ]
   in
@@ -1688,25 +1270,9 @@ let a10 () =
           ~reps:(reps ()) (fun rng ->
             run_once ~stop:(i = 0) ~rng ~n ~d (proto_of ()))
       in
-      let sync_completion =
-        Summary.of_list
-          (List.map
-             (fun r ->
-               match r.Engine.completion_round with
-               | Some c -> fin c
-               | None -> fin r.Engine.rounds)
-             sync)
-      in
-      let sync_tx =
-        Summary.of_list
-          (List.map (fun r -> fin (Engine.transmissions r) /. fin n) sync)
-      in
-      let sync_cov =
-        Summary.of_list
-          (List.map (fun r -> fin r.Engine.informed /. fin n) sync)
-      in
-      add_row name "sync rounds" sync_completion.Summary.mean
-        sync_tx.Summary.mean sync_cov.Summary.mean;
+      add_row name "sync rounds" (mean_of eff_rounds sync)
+        (mean_of (fun r -> fin (Engine.transmissions r) /. fin n) sync)
+        (mean_of (fun r -> fin r.Engine.informed /. fin n) sync);
       let async =
         Experiment.replicate_parallel ~domains:(domains ()) ~seed:(2800 + i)
           ~reps:(reps ()) (fun rng ->
@@ -1714,27 +1280,11 @@ let a10 () =
             Rumor_sim.Async.run ~stop_when_complete:(i = 0) ~rng ~graph:g
               ~protocol:(proto_of ()) ~sources:[ 0 ] ())
       in
-      let async_completion =
-        Summary.of_list
-          (List.map
-             (fun r ->
-               match r.Rumor_sim.Async.completion_time with
-               | Some tt -> tt
-               | None -> r.Rumor_sim.Async.time)
-             async)
-      in
-      let async_tx =
-        Summary.of_list
-          (List.map
-             (fun r -> fin r.Rumor_sim.Async.transmissions /. fin n)
-             async)
-      in
-      let async_cov =
-        Summary.of_list
-          (List.map (fun r -> fin r.Rumor_sim.Async.informed /. fin n) async)
-      in
-      add_row name "poisson clocks" async_completion.Summary.mean
-        async_tx.Summary.mean async_cov.Summary.mean)
+      let module A = Rumor_sim.Async in
+      add_row name "poisson clocks"
+        (mean_of (fun r -> Option.value r.A.completion_time ~default:r.A.time) async)
+        (mean_of (fun r -> fin r.A.transmissions /. fin n) async)
+        (mean_of (fun r -> fin r.A.informed /. fin n) async))
     protocols;
   Table.print t;
   print_endline
@@ -1825,174 +1375,55 @@ let a11 () =
   record "rounds_checked" (Json.Int !checked);
   record "failures" (Json.Int !failures)
 
-(* A12: implicit topologies at scale — one broadcast at n = 10^7 over a
-   seed-derived random-regular view. The materialised pipeline tops out
-   near n = 2^20 (Scenario.materialise_cap: stub arrays, shuffle, CSR);
-   the implicit view keeps O(d) words of topology state, leaving only
-   the kernel's O(n) per-node arrays. The CI quick cell (n = 10^6)
-   gates wall seconds and minor words on this record, so a regression
-   that starts allocating per neighbour query — invisible at the 2^14
-   scale of the other experiments — fails the build here. *)
-let a12 () =
-  section "A12" "extension: implicit seed-derived topology at n = 10^7";
-  let n = if !quick then 1_000_000 else 10_000_000 in
-  let d = 8 in
-  (* One gate-carrying scale cell from scenarios/matrix_a12.txt (the
-     per-node allocation and wall-clock budgets live there as expect
-     lines, checked by `rumor matrix` in CI). The scenario kernel draws
-     the view seed from the replication stream, so this record is a new
-     trajectory, not a bit-identical continuation of the fixed-seed
-     pre-migration cell. *)
-  let spec = load_matrix "matrix_a12.txt" in
-  let spec =
-    if !quick then patch_base spec ~key:"n" ~value:(string_of_int n)
-    else spec
-  in
-  let rr = run_matrix spec in
-  let o = List.hd rr.Matrix.outcomes in
-  let res = List.hd o.Matrix.results in
-  let metric k = List.assoc k o.Matrix.metrics in
-  let wall_s = metric "wall_s" in
-  let tx_per_node = fin (Engine.transmissions res) /. fin n in
-  let words_per_node = metric "minor_words_per_node" in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("rounds", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-          ("wall s", Table.Right);
-          ("minor w/node", Table.Right);
-        ]
-  in
-  Table.add_row t
-    [
-      string_of_int n;
-      string_of_int res.Engine.rounds;
-      Printf.sprintf "%.4f" (Engine.coverage res);
-      Printf.sprintf "%.2f" tx_per_node;
-      Printf.sprintf "%.2f" wall_s;
-      Printf.sprintf "%.2f" words_per_node;
-    ];
-  Table.print t;
-  Printf.printf
-    "(implicit-regular d=%d push-pull: the graph is never built — \
-     neighbour queries are Feistel evaluations.\n\
-    \ minor words are the per-node protocol states; A13 runs bef itself \
-     at this scale on the packed per-node\n\
-    \ state, see EXPERIMENTS.md)\n"
-    d;
-  record "n" (Json.Int n);
-  record "d" (Json.Int d);
-  record "rounds" (Json.Int res.Engine.rounds);
-  record "completion_round"
-    (match res.Engine.completion_round with
-    | Some c -> Json.Int c
-    | None -> Json.Null);
-  record "coverage" (Json.Float (Engine.coverage res));
-  record "tx_per_node" (Json.Float tx_per_node);
-  record "run_wall_s" (Json.Float wall_s);
-  record "run_minor_words" (Json.Float (words_per_node *. fin n));
-  record "minor_words_per_node" (Json.Float words_per_node);
-  record "gates_failed" (Json.Int (Matrix.gates_failed rr))
+(* A12: implicit topologies at scale — one push-pull broadcast at
+   n = 10^7 over a seed-derived random-regular view. The materialised
+   pipeline tops out near n = 2^20 (Scenario.materialise_cap); the
+   implicit view keeps O(d) words of topology state. The per-node
+   allocation and wall-clock gates live in scenarios/matrix_a12.txt. *)
+let a12 =
+  {
+    id = "A12";
+    files = [ ("matrix_a12.txt", quick_n 1_000_000) ];
+    takes_reps = false;
+    post = no_post;
+  }
 
-(* A13: the paper's algorithm at the packed-state frontier — one [bef]
-   broadcast over an implicit random-regular view, per-node protocol
-   state held in byte cells rather than boxed arrays. A12 pins the
-   implicit-topology plumbing with push-pull; this cell pins what that
-   plumbing was for: Algorithms 1/2 themselves at n = 10^7 (10^6 in
+(* A13: the paper's algorithm at the packed-state frontier — one bef
+   broadcast over an implicit random-regular view at n = 10^7 (10^6 in
    --quick; n = 10^8 via RUMOR_BENCH_A13_N=100000000, ~10^1 minutes and
-   ~1 GB RSS). The jq gates in CI hold wall seconds, coverage == 1.0,
-   minor words per node <= 1 and peak heap bytes per node on this
-   record, so a regression that reboxes the state — invisible at small
-   n — fails the build. *)
-let a13 () =
-  section "A13" "extension: packed-state bef at n = 10^7";
-  let n =
-    match Sys.getenv_opt "RUMOR_BENCH_A13_N" with
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some x when x >= 4 && x land 1 = 0 -> x
-        | _ -> failwith "RUMOR_BENCH_A13_N must be an even integer >= 4")
-    | None -> if !quick then 1_000_000 else 10_000_000
-  in
-  let d = 8 in
-  (* The cell itself (bef over implicit-regular, packed per-node
-     state) comes from scenarios/matrix_a13.txt, allocation gates
-     included; only n is patched here for --quick / the env
-     override. *)
-  let spec = load_matrix "matrix_a13.txt" in
-  let spec =
-    if n <> 10_000_000 then patch_base spec ~key:"n" ~value:(string_of_int n)
-    else spec
-  in
-  (* VmHWM before the run: binary + implicit view, no per-node state
-     yet. The post-run peak minus this is (an upper bound on) the
-     run's own footprint — the kernel tables plus GC slack. *)
+   ~1 GB RSS), per-node state in byte cells. The post-pass adds the
+   process RSS growth per node: VmHWM after the run minus VmHWM before
+   it (binary + implicit view, no per-node state yet), an upper bound on
+   the run's own footprint — kernel tables plus GC slack. *)
+let a13_rss () =
   let rss0_kb = Metrics.peak_rss_kb () in
-  let rr = run_matrix spec in
-  let o = List.hd rr.Matrix.outcomes in
-  let res = List.hd o.Matrix.results in
-  let metric k = List.assoc k o.Matrix.metrics in
-  let wall_s = metric "wall_s" in
-  let protocol_name = Scenario.protocol_name o.Matrix.cell.Matrix.scenario in
-  let tx_per_node = fin (Engine.transmissions res) /. fin n in
-  let words_per_node = metric "minor_words_per_node" in
-  let heap_bytes_per_node = metric "heap_bytes_per_node" in
-  let peak_rss_kb = Metrics.peak_rss_kb () in
-  let rss_bytes_per_node = fin ((peak_rss_kb - rss0_kb) * 1024) /. fin n in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("rounds", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-          ("wall s", Table.Right);
-          ("minor w/node", Table.Right);
-          ("heap B/node", Table.Right);
-          ("rss B/node", Table.Right);
-        ]
-  in
-  Table.add_row t
-    [
-      string_of_int n;
-      string_of_int res.Engine.rounds;
-      Printf.sprintf "%.4f" (Engine.coverage res);
-      Printf.sprintf "%.2f" tx_per_node;
-      Printf.sprintf "%.2f" wall_s;
-      Printf.sprintf "%.2f" words_per_node;
-      Printf.sprintf "%.2f" heap_bytes_per_node;
-      Printf.sprintf "%.2f" rss_bytes_per_node;
-    ];
-  Table.print t;
-  Printf.printf
-    "(bef %s, packed per-node state: 8-bit phase codes + 8-bit decision \
-     stamps + 16-bit duplicate\n\
-    \ tallies + word-parallel bitsets — the boxed equivalent is ~9 words \
-     = 72 bytes per node)\n"
-    protocol_name;
-  record "n" (Json.Int n);
-  record "d" (Json.Int d);
-  record "protocol" (Json.String protocol_name);
-  record "rounds" (Json.Int res.Engine.rounds);
-  record "completion_round"
-    (match res.Engine.completion_round with
-    | Some c -> Json.Int c
-    | None -> Json.Null);
-  record "coverage" (Json.Float (Engine.coverage res));
-  record "tx_per_node" (Json.Float tx_per_node);
-  record "run_wall_s" (Json.Float wall_s);
-  record "run_minor_words" (Json.Float (words_per_node *. fin n));
-  record "minor_words_per_node" (Json.Float words_per_node);
-  record "heap_bytes_per_node" (Json.Float heap_bytes_per_node);
-  record "peak_rss_kb" (Json.Int peak_rss_kb);
-  record "baseline_rss_kb" (Json.Int rss0_kb);
-  record "rss_bytes_per_node" (Json.Float rss_bytes_per_node);
-  record "gates_failed" (Json.Int (Matrix.gates_failed rr))
+  fun rrs ->
+    let peak_rss_kb = Metrics.peak_rss_kb () in
+    let n = (List.hd (outcomes rrs)).Matrix.cell.Matrix.scenario.Scenario.n in
+    let per_node = fin ((peak_rss_kb - rss0_kb) * 1024) /. fin n in
+    Printf.printf
+      "rss growth %.2f B/node (the boxed per-node state is ~9 words = 72 \
+       bytes per node)\n"
+      per_node;
+    record "peak_rss_kb" (Json.Int peak_rss_kb);
+    record "baseline_rss_kb" (Json.Int rss0_kb);
+    record "rss_bytes_per_node" (Json.Float per_node)
+
+let a13 =
+  {
+    id = "A13";
+    files = [ ("matrix_a13.txt", quick_n 1_000_000) ];
+    takes_reps = false;
+    post = a13_rss;
+  }
+
+let a13_n_override () =
+  match Sys.getenv_opt "RUMOR_BENCH_A13_N" with
+  | None -> []
+  | Some v -> (
+      match int_of_string_opt v with
+      | Some x when x >= 4 && x land 1 = 0 -> quick_n x
+      | _ -> failwith "RUMOR_BENCH_A13_N must be an even integer >= 4")
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks.                                          *)
@@ -2048,21 +1479,23 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
+let of_grid g = (g.id, fun () -> run_grid g)
+
 let all_experiments =
   [
     ("E0", e0);
-    ("E1", e1_e2);
+    of_grid e1;
     ("E3", e3);
     ("E4", e4);
-    ("E5", e5);
-    ("E6", e6);
-    ("E7", e7);
-    ("E8", e8);
+    of_grid e5;
+    of_grid e6;
+    of_grid e7;
+    of_grid e8;
     ("E9", e9);
     ("E10", e10);
-    ("E11", e11);
-    ("E12", e12);
-    ("A1", a1);
+    of_grid e11;
+    of_grid e12;
+    of_grid a1;
     ("A2", a2);
     ("A3", a3);
     ("A4", a4);
@@ -2073,23 +1506,10 @@ let all_experiments =
     ("A9", a9);
     ("A10", a10);
     ("A11", a11);
-    ("A12", a12);
-    ("A13", a13);
+    of_grid a12;
+    ("A13", fun () -> run_grid ~extra:(a13_n_override ()) a13);
     ("MICRO", micro);
   ]
-
-(* Best-effort git metadata so a bench record can be tied back to the
-   commit that produced it. *)
-let git_describe () =
-  try
-    let ic =
-      Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-    in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> Json.String line
-    | _ -> Json.Null
-  with _ -> Json.Null
 
 let () =
   let rec parse_args acc = function
@@ -2156,53 +1576,28 @@ let () =
             end
             else begin
               current_points := [];
-              current_scalars := [];
+              current_fields := [];
               current_title := "";
               let (), span = Metrics.timed f in
-              let span_fields =
-                match Metrics.span_to_json span with
-                | Json.Obj fs -> fs
-                | _ -> []
-              in
               let data =
                 (match !current_points with
                 | [] -> []
                 | pts -> [ ("points", Json.List (List.rev pts)) ])
-                @ List.rev !current_scalars
+                @ List.rev !current_fields
               in
               Some
-                (Json.Obj
-                   (("id", Json.String id)
-                    :: ("title", Json.String !current_title)
-                    :: span_fields
-                   @ [ ("data", Json.Obj data) ]))
+                (Benchdoc.experiment ~id ~title:!current_title span
+                   (Json.Obj data))
             end)
           selected)
   in
   match !json_path with
   | None -> ()
   | Some path ->
-      let top =
-        Json.Obj
-          [
-            ("schema", Json.String "rumor-bench/1");
-            ("created_unix", Json.Float (Unix.gettimeofday ()));
-            ("git", git_describe ());
-            ("ocaml", Json.String Sys.ocaml_version);
-            ("word_size", Json.Int Sys.word_size);
-            ( "argv",
-              Json.List
-                (List.map (fun a -> Json.String a) (Array.to_list Sys.argv)) );
-            ("quick", Json.Bool !quick);
-            ("reps", Json.Int (reps ()));
-            ("domains", Json.Int (domains ()));
-            ("truncated", Json.Bool (Experiment.interrupted ()));
-            ("experiments", Json.List records);
-          ]
-      in
-      let oc = open_out path in
-      Json.to_channel ~minify:false oc top;
-      close_out oc;
+      Benchdoc.write path
+        (Benchdoc.document ~domains:(domains ())
+           ~truncated:(Experiment.interrupted ()) ~quick:!quick ~reps:(reps ())
+           records);
       Printf.printf "\nwrote %s (%d experiment records%s)\n" path
         (List.length records)
         (if Experiment.interrupted () then ", truncated" else "")

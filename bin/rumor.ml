@@ -37,6 +37,7 @@ module Fault = Rumor_sim.Fault
 module Trace = Rumor_sim.Trace
 module Run = Rumor_core.Run
 module Experiment = Rumor_stats.Experiment
+module Table = Rumor_stats.Table
 module Json = Rumor_obs.Json
 module Obs_metrics = Rumor_obs.Metrics
 module Encode = Rumor_obs.Encode
@@ -945,17 +946,6 @@ let serve_cmd =
 
 (* --- load: the fault-injecting load generator --- *)
 
-let git_describe () =
-  try
-    let ic =
-      Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-    in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> Json.String line
-    | _ -> Json.Null
-  with _ -> Json.Null
-
 let load socket rate duration closed n d protocol topology seed alpha fanout
     link_loss burst_loss burst_len crash_every wedge_every wedge_ms
     settle_timeout json_path exp_id =
@@ -1019,42 +1009,15 @@ let load socket rate duration closed n d protocol topology seed alpha fanout
               (match json_path with
               | None -> ()
               | Some path ->
-                  let span_fields =
-                    match Obs_metrics.span_to_json span with
-                    | Json.Obj fs -> fs
-                    | _ -> []
-                  in
                   let experiment =
-                    Json.Obj
-                      (("id", Json.String exp_id)
-                       :: ( "title",
-                            Json.String
-                              "service load: sessions/sec and latency under \
-                               fault injection" )
-                       :: span_fields
-                      @ [ ("data", Load.report_json cfg r) ])
+                    Benchdoc.experiment ~id:exp_id
+                      ~title:
+                        "service load: sessions/sec and latency under fault \
+                         injection"
+                      span (Load.report_json cfg r)
                   in
-                  let top =
-                    Json.Obj
-                      [
-                        ("schema", Json.String "rumor-bench/1");
-                        ("created_unix", Json.Float (Unix.gettimeofday ()));
-                        ("git", git_describe ());
-                        ("ocaml", Json.String Sys.ocaml_version);
-                        ("word_size", Json.Int Sys.word_size);
-                        ( "argv",
-                          Json.List
-                            (List.map
-                               (fun a -> Json.String a)
-                               (Array.to_list Sys.argv)) );
-                        ("quick", Json.Bool false);
-                        ("reps", Json.Int 1);
-                        ("experiments", Json.List [ experiment ]);
-                      ]
-                  in
-                  let oc = open_out path in
-                  Json.to_channel ~minify:false oc top;
-                  close_out oc;
+                  Benchdoc.write path
+                    (Benchdoc.document ~quick:false ~reps:1 [ experiment ]);
                   Printf.printf "  wrote %s\n" path);
               if
                 r.Load.lost = 0 && r.Load.unacked = 0
@@ -1386,18 +1349,11 @@ let matrix files json_path dry_run domains =
                                 g.Matrix.bound observed)
                           o.Matrix.gate_results)
                       rr.Matrix.outcomes;
-                    let span_fields =
-                      match Obs_metrics.span_to_json span with
-                      | Json.Obj fs -> fs
-                      | _ -> []
-                    in
+                    Table.print (Matrix.table rr);
                     Some
-                      (Json.Obj
-                         (("id", Json.String rr.Matrix.spec.Matrix.id)
-                          :: ( "title",
-                               Json.String rr.Matrix.spec.Matrix.title )
-                          :: span_fields
-                         @ [ ("data", Matrix.data_json rr) ])))
+                      (Benchdoc.experiment ~id:rr.Matrix.spec.Matrix.id
+                         ~title:rr.Matrix.spec.Matrix.title span
+                         (Matrix.data_json rr)))
               specs
           in
           (match json_path with
@@ -1409,28 +1365,9 @@ let matrix files json_path dry_run domains =
                     max acc spec.Matrix.base.Scenario.reps)
                   1 specs
               in
-              let top =
-                Json.Obj
-                  [
-                    ("schema", Json.String "rumor-bench/1");
-                    ("created_unix", Json.Float (Unix.gettimeofday ()));
-                    ("git", git_describe ());
-                    ("ocaml", Json.String Sys.ocaml_version);
-                    ("word_size", Json.Int Sys.word_size);
-                    ( "argv",
-                      Json.List
-                        (List.map
-                           (fun a -> Json.String a)
-                           (Array.to_list Sys.argv)) );
-                    ("quick", Json.Bool false);
-                    ("reps", Json.Int reps);
-                    ("truncated", Json.Bool !any_truncated);
-                    ("experiments", Json.List experiments);
-                  ]
-              in
-              let oc = open_out path in
-              Json.to_channel ~minify:false oc top;
-              close_out oc;
+              Benchdoc.write path
+                (Benchdoc.document ~truncated:!any_truncated ~quick:false ~reps
+                   experiments);
               Printf.printf "wrote %s\n" path);
           if !errored then 2
           else if !total_gates_failed > 0 || !any_truncated then 1

@@ -791,41 +791,24 @@ let eval_gates gates metrics =
       | None -> (g, Float.nan, false))
     gates
 
-(* Per-seed effective rounds: the completion round when the run
-   completed, the executed rounds otherwise — the bench harness's
-   definition, kept so migrated frontier points stay comparable. *)
-let eff_rounds (r : Engine.result) =
-  match r.Engine.completion_round with
-  | Some c -> float_of_int c
-  | None -> float_of_int r.Engine.rounds
-
 let kernel_outcome spec cell measures =
   let ms = List.filter_map Fun.id (Array.to_list measures) in
   let results = List.map (fun m -> m.rm_result) ms in
   let pop (r : Engine.result) = float_of_int (max 1 r.Engine.population) in
-  let coverages = List.map Engine.coverage results in
-  let rounds = List.map eff_rounds results in
-  let txs =
-    List.map
-      (fun r -> float_of_int (Engine.transmissions r) /. pop r)
-      results
-  in
+  let ss = List.map Scenario.scalars results in
+  let per f = List.map f ss in
+  let coverages = per (fun s -> s.Scenario.coverage) in
+  let rounds = per (fun s -> s.Scenario.rounds) in
+  let txs = per (fun s -> s.Scenario.tx_per_node) in
   let metrics =
     [
       ("coverage", mean coverages);
       ("rounds", mean rounds);
       ("tx_per_node", mean txs);
-      ( "success_rate",
-        mean (List.map (fun r -> if Engine.success r then 1. else 0.) results)
-      );
-      ( "epochs",
-        mean (List.map (fun r -> float_of_int (Engine.epochs_used r)) results)
-      );
+      ("success_rate", mean (per (fun s -> s.Scenario.success)));
+      ("epochs", mean (per (fun s -> s.Scenario.epochs)));
       ( "repair_tx_per_node",
-        mean
-          (List.map
-             (fun r -> float_of_int (Engine.repair_tx r) /. pop r)
-             results) );
+        mean (per (fun s -> s.Scenario.repair_tx_per_node)) );
       ("wall_s", List.fold_left (fun a m -> a +. m.rm_wall) 0. ms);
       ( "minor_words_per_node",
         mean (List.map2 (fun m r -> m.rm_minor /. pop r) ms results) );
@@ -996,17 +979,68 @@ let data_json result =
       ("points", Json.List (List.map point_json result.outcomes));
     ]
 
+(* --- result table --- *)
+
+let metric_cell name v =
+  match name with
+  | "success_rate" -> Printf.sprintf "%.0f%%" (100. *. v)
+  | "coverage" -> Printf.sprintf "%.4f" v
+  | "rounds" | "epochs" -> Printf.sprintf "%.1f" v
+  | _ when Float.is_integer v && not (List.mem name kernel_metrics) ->
+      (* service counts *)
+      Printf.sprintf "%.0f" v
+  | _ -> Printf.sprintf "%.2f" v
+
+let coord_keys spec =
+  List.concat_map (fun a -> a.axis_key :: List.map fst a.zips) spec.axes
+
+let table result =
+  let spec = result.spec in
+  let repair =
+    List.exists
+      (fun o -> o.cell.scenario.Scenario.max_epochs > 0)
+      result.outcomes
+  in
+  let standard =
+    match spec.mode with
+    | Service -> []
+    | Kernel ->
+        [ "coverage"; "rounds"; "tx_per_node"; "success_rate" ]
+        @ if repair then [ "epochs"; "repair_tx_per_node" ] else []
+  in
+  let metric_cols =
+    List.fold_left
+      (fun acc g -> if List.mem g.metric acc then acc else acc @ [ g.metric ])
+      standard spec.gates
+  in
+  let keys = coord_keys spec in
+  let t =
+    Table.create
+      ~columns:
+        ((("cell", Table.Right) :: List.map (fun k -> (k, Table.Left)) keys)
+        @ List.map (fun m -> (m, Table.Right)) metric_cols)
+  in
+  List.iter
+    (fun o ->
+      Table.add_row t
+        ((string_of_int o.cell.cell_index
+         :: List.map (fun k -> List.assoc k o.cell.coords) keys)
+        @ List.map
+            (fun m ->
+              match List.assoc_opt m o.metrics with
+              | Some v -> metric_cell m v
+              | None -> "-")
+            metric_cols))
+    result.outcomes;
+  t
+
 (* --- dry run --- *)
 
 let dry_run_table spec =
   match cells spec with
   | Error e -> Error e
   | Ok cs ->
-      let axis_cols =
-        List.concat_map
-          (fun a -> a.axis_key :: List.map fst a.zips)
-          spec.axes
-      in
+      let axis_cols = coord_keys spec in
       let columns =
         [ ("cell", Table.Right) ]
         @ List.map (fun k -> (k, Table.Left)) axis_cols

@@ -139,8 +139,8 @@ type cell_outcome = {
   gate_results : (gate * float * bool) list;
       (** gate, observed value (nan if the metric is absent), pass *)
   results : Rumor_sim.Engine.result list;
-      (** raw per-repetition results (kernel mode) — what bench
-          wrappers rebuild their historical tables from *)
+      (** raw per-repetition results (kernel mode), for post-passes
+          the metrics cannot express *)
 }
 
 type run_result = {
@@ -175,6 +175,14 @@ val point_json : cell_outcome -> Rumor_obs.Json.t
 val data_json : run_result -> Rumor_obs.Json.t
 (** The experiment [data] payload: [{mode, cells, gates_failed,
     truncated, points}]. *)
+
+val table : run_result -> Rumor_stats.Table.t
+(** The results as one table, a row per cell: the cell index and its
+    coordinates (axis and zip keys), then [coverage], [rounds],
+    [tx_per_node] and [success_rate] (kernel mode), [epochs] and
+    [repair_tx_per_node] when some cell runs repair, then every metric
+    the file gates on. [rumor matrix] and the bench harness print
+    it. *)
 
 val dry_run_table : spec -> (string, string) result
 (** The expanded cell table (coordinates, seeds, reps) plus the gate

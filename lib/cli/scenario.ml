@@ -543,6 +543,32 @@ let run_rep ?monitor ?collect_trace scenario rng =
         ?on_round_end ~stop_when_complete:(effective_stop scenario) ?monitor
         ~packed ~rng ~topology ~protocol ~sources ()
 
+type scalars = {
+  coverage : float;
+  rounds : float;
+  tx_per_node : float;
+  success : float;
+  epochs : float;
+  repair_tx_per_node : float;
+}
+
+(* Per-seed scalars, shared by [run]'s report and the matrix metrics.
+   Rounds are the completion round when the run completed, the executed
+   rounds otherwise; per-node costs divide by the live population,
+   clamped to 1 so an all-crash run reports 0, not nan. *)
+let scalars (r : Engine.result) =
+  let pop = float_of_int (max 1 r.Engine.population) in
+  {
+    coverage = Engine.coverage r;
+    rounds =
+      float_of_int
+        (Option.value r.Engine.completion_round ~default:r.Engine.rounds);
+    tx_per_node = float_of_int (Engine.transmissions r) /. pop;
+    success = (if Engine.success r then 1. else 0.);
+    epochs = float_of_int (Engine.epochs_used r);
+    repair_tx_per_node = float_of_int (Engine.repair_tx r) /. pop;
+  }
+
 type report = {
   scenario : t;
   protocol_name : string;
@@ -555,26 +581,19 @@ type report = {
 }
 
 let report_of_results scenario results =
-  let of_metric f = Summary.of_list (List.map f results) in
+  let ss = List.map scalars results in
+  let of_metric f = Summary.of_list (List.map f ss) in
   {
     scenario;
     protocol_name = protocol_name scenario;
     success_rate =
-      float_of_int (List.length (List.filter Engine.success results))
-      /. float_of_int (max 1 (List.length results));
-    coverage = of_metric Engine.coverage;
-    tx_per_node =
-      of_metric (fun r ->
-          float_of_int (Engine.transmissions r)
-          /. float_of_int r.Engine.population);
-    rounds = of_metric (fun r -> float_of_int r.Engine.rounds);
-    epochs = of_metric (fun r -> float_of_int (Engine.epochs_used r));
-    repair_tx_per_node =
-      of_metric (fun r ->
-          if r.Engine.population = 0 then 0.
-          else
-            float_of_int (Engine.repair_tx r)
-            /. float_of_int r.Engine.population);
+      List.fold_left (fun a s -> a +. s.success) 0. ss
+      /. float_of_int (max 1 (List.length ss));
+    coverage = of_metric (fun s -> s.coverage);
+    tx_per_node = of_metric (fun s -> s.tx_per_node);
+    rounds = of_metric (fun s -> s.rounds);
+    epochs = of_metric (fun s -> s.epochs);
+    repair_tx_per_node = of_metric (fun s -> s.repair_tx_per_node);
   }
 
 let run scenario =

@@ -235,6 +235,24 @@ val run_rep :
     [collect_trace] (default [false]) are handed to the engine
     unchanged; neither moves the trajectory. *)
 
+type scalars = {
+  coverage : float;  (** informed / live population (0 when empty) *)
+  rounds : float;
+      (** the completion round when every live node was informed, the
+          executed rounds otherwise *)
+  tx_per_node : float;  (** transmissions per live node *)
+  success : float;  (** 1 when every live node was informed, else 0 *)
+  epochs : float;  (** repair epochs consumed *)
+  repair_tx_per_node : float;
+      (** transmissions inside repair epochs, per live node *)
+}
+
+val scalars : Rumor_sim.Engine.result -> scalars
+(** The per-repetition scalars every entry point reports: {!run}'s
+    report and the matrix metrics are means of these. Per-node costs
+    divide by [max 1 population], so a run whose every node crashed
+    reports 0 rather than nan. *)
+
 type report = {
   scenario : t;
   protocol_name : string;
@@ -250,7 +268,7 @@ type report = {
 
 val report_of_results : t -> Rumor_sim.Engine.result list -> report
 (** Summarise a list of per-repetition results (as produced by
-    {!run_rep}) into a report. *)
+    {!run_rep}): summaries of their {!scalars}. *)
 
 val run : t -> report
 (** Execute the scenario: [reps] broadcasts on fresh graphs with forked

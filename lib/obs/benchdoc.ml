@@ -1,4 +1,56 @@
-(* Validation and regression diffing of rumor-bench/1 documents. *)
+(* Writing, validation and regression diffing of rumor-bench/1
+   documents. *)
+
+(* --- writing --- *)
+
+(* Best-effort git metadata so a record can be tied back to the commit
+   that produced it. *)
+let git_describe () =
+  try
+    let ic =
+      Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+    in
+    let line = try input_line ic with End_of_file -> "" in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 when line <> "" -> Json.String line
+    | _ -> Json.Null
+  with _ -> Json.Null
+
+let experiment ~id ~title span data =
+  let span_fields =
+    match Metrics.span_to_json span with Json.Obj fs -> fs | _ -> []
+  in
+  Json.Obj
+    ((("id", Json.String id) :: ("title", Json.String title) :: span_fields)
+    @ [ ("data", data) ])
+
+let document ?domains ?(truncated = false) ~quick ~reps experiments =
+  Json.Obj
+    ([
+       ("schema", Json.String "rumor-bench/1");
+       ("created_unix", Json.Float (Unix.gettimeofday ()));
+       ("git", git_describe ());
+       ("ocaml", Json.String Sys.ocaml_version);
+       ("word_size", Json.Int Sys.word_size);
+       ( "argv",
+         Json.List (List.map (fun a -> Json.String a) (Array.to_list Sys.argv))
+       );
+       ("quick", Json.Bool quick);
+       ("reps", Json.Int reps);
+     ]
+    @ (match domains with Some d -> [ ("domains", Json.Int d) ] | None -> [])
+    @ [
+        ("truncated", Json.Bool truncated);
+        ("experiments", Json.List experiments);
+      ])
+
+let write path doc =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> Json.to_channel ~minify:false oc doc)
+
+(* --- validation --- *)
 
 type error = Empty_experiments | Malformed of string
 

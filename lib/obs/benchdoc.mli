@@ -1,9 +1,27 @@
-(** Validation and regression diffing of [rumor-bench/1] documents.
+(** Writing, validation and regression diffing of [rumor-bench/1]
+    documents.
 
-    [bench-check] is the CLI face of this module: plain validation
-    plus, with [--against BASELINE.json], a cell-by-cell regression
-    diff of matrix experiments against a committed [BENCH_*.json]
-    trajectory. *)
+    The bench harness, [rumor matrix] and [rumor load] all build their
+    documents with {!experiment} and {!document}. [bench-check] is the
+    CLI face of the rest: plain validation plus, with
+    [--against BASELINE.json], a cell-by-cell regression diff of matrix
+    experiments against a committed [BENCH_*.json] trajectory. *)
+
+val experiment : id:string -> title:string -> Metrics.span -> Json.t -> Json.t
+(** One experiment record: [id], [title], the span's fields ([wall_s],
+    [cpu_s], [peak_rss_kb], [gc]) and the given [data]. *)
+
+val document :
+  ?domains:int -> ?truncated:bool -> quick:bool -> reps:int -> Json.t list ->
+  Json.t
+(** The top-level document around experiment records: [schema],
+    [created_unix], [git] ([git describe --always --dirty] of the
+    working directory, [null] when unavailable), [ocaml], [word_size], [argv], [quick],
+    [reps], [domains] (when given), [truncated] (default [false]) and
+    [experiments]. *)
+
+val write : string -> Json.t -> unit
+(** Write a document, pretty-printed, to a file. *)
 
 type error =
   | Empty_experiments

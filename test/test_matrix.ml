@@ -2,7 +2,8 @@
    ranges, CRLF), grid expansion (cartesian count, coordinate
    uniqueness, deterministic order, seed independence — qcheck), seed
    modes, quick-mode patching, gate evaluation, execution equivalence
-   with Scenario.run, and the bench-document validator/differ. *)
+   with Scenario.run, parity of the grid files with the bench loops
+   they replaced, and the bench-document writer/validator/differ. *)
 
 module Rng = Rumor_rng.Rng
 module Scenario = Rumor_cli.Scenario
@@ -268,40 +269,127 @@ let test_gates () =
 (* --- execution ---------------------------------------------------- *)
 
 let test_run_matches_scenario_run () =
-  (* A 1x2 grid with offset seeds runs each cell bit-identically to
-     Scenario.run of the equivalent single scenario. *)
-  let s =
-    spec_exn
-      "seed = 11\nn = 128\nd = 8\nreps = 3\nsweep loss = 0, 0.05 seed+=1\n\
-       expect coverage >= 0.1\n"
+  (* Each cell runs bit-identically to Scenario.run of the equivalent
+     single scenario, and both report the same scalars — also when
+     every node crashes and the live population is empty. *)
+  List.iter
+    (fun (text, cells) ->
+      let s = spec_exn text in
+      let result =
+        match Matrix.run ~domains:2 s with
+        | Ok r -> r
+        | Error e -> Alcotest.failf "run: %s" e
+      in
+      Alcotest.(check int) "outcomes" cells (List.length result.Matrix.outcomes);
+      Alcotest.(check bool) "not truncated" false result.Matrix.truncated;
+      List.iteri
+        (fun i o ->
+          let scenario = o.Matrix.cell.Matrix.scenario in
+          Alcotest.(check int) "cell seed" (11 + i) scenario.Scenario.seed;
+          let direct = Scenario.run { scenario with domains = 1 } in
+          let m k = List.assoc k o.Matrix.metrics in
+          let mean (x : Rumor_stats.Summary.t) = x.Rumor_stats.Summary.mean in
+          List.iter
+            (fun (name, v) ->
+              Alcotest.(check bool) (name ^ " finite") true (Float.is_finite v);
+              Alcotest.(check (Alcotest.float 1e-12)) name (m name) v)
+            [
+              ("coverage", mean direct.Scenario.coverage);
+              ("tx_per_node", mean direct.Scenario.tx_per_node);
+              ("rounds", mean direct.Scenario.rounds);
+              ("success_rate", direct.Scenario.success_rate);
+              ("repair_tx_per_node", mean direct.Scenario.repair_tx_per_node);
+            ];
+          Alcotest.(check int) "reps" 3 o.Matrix.reps_done;
+          (* gates evaluated on the metrics *)
+          List.iter
+            (fun (_, observed, pass) ->
+              Alcotest.(check bool) "gate pass" true pass;
+              Alcotest.(check bool) "observed real" false (Float.is_nan observed))
+            o.Matrix.gate_results)
+        result.Matrix.outcomes)
+    [
+      ( "seed = 11\nn = 128\nd = 8\nreps = 3\nsweep loss = 0, 0.05 seed+=1\n\
+         expect coverage >= 0.1\n",
+        2 );
+      ( "seed = 11\nn = 128\nd = 8\nreps = 3\nsweep crash_rate = 1.0 seed+=1\n\
+         expect tx_per_node <= 0\n",
+        1 );
+    ]
+
+(* --- parity with the pre-matrix bench loops ------------------------ *)
+
+let scenario_dir =
+  (* Tests run inside the build tree; the scenarios are a declared
+     dependency one level up. *)
+  let rec search dir depth =
+    let candidate = Filename.concat dir "scenarios" in
+    if Sys.file_exists candidate && Sys.is_directory candidate then candidate
+    else if depth >= 6 then Alcotest.fail "scenarios/ not found"
+    else search (Filename.concat dir "..") (depth + 1)
   in
-  let result =
-    match Matrix.run ~domains:2 s with
-    | Ok r -> r
-    | Error e -> Alcotest.failf "run: %s" e
-  in
-  Alcotest.(check int) "outcomes" 2 (List.length result.Matrix.outcomes);
-  Alcotest.(check bool) "not truncated" false result.Matrix.truncated;
-  List.iteri
-    (fun i o ->
-      let scenario = o.Matrix.cell.Matrix.scenario in
-      Alcotest.(check int) "cell seed" (11 + i) scenario.Scenario.seed;
-      let direct = Scenario.run { scenario with domains = 1 } in
-      let m k = List.assoc k o.Matrix.metrics in
-      Alcotest.(check (Alcotest.float 1e-12))
-        "coverage" direct.Scenario.coverage.Rumor_stats.Summary.mean
-        (m "coverage");
-      Alcotest.(check (Alcotest.float 1e-12))
-        "tx_per_node" direct.Scenario.tx_per_node.Rumor_stats.Summary.mean
-        (m "tx_per_node");
-      Alcotest.(check int) "reps" 3 o.Matrix.reps_done;
-      (* gates evaluated on the metrics *)
-      List.iter
-        (fun (_, observed, pass) ->
-          Alcotest.(check bool) "gate pass" true pass;
-          Alcotest.(check bool) "observed real" false (Float.is_nan observed))
-        o.Matrix.gate_results)
-    result.Matrix.outcomes
+  lazy (search (Sys.getcwd ()) 0)
+
+(* Per-seed (rounds, completion_round, informed, population, push_tx,
+   pull_tx) of the first cell of each grid file at n = 512, reps = 2,
+   recorded from the hand-written bench loops the files replaced (same
+   seeds, graphs, protocols and fault plans). *)
+let parity_goldens =
+  [
+    ( "matrix_e5.txt",
+      [ (14, Some 7, 512, 512, 10240, 2048); (14, Some 8, 512, 512, 10240, 2048) ] );
+    ( "matrix_e6.txt",
+      [ (14, Some 10, 512, 512, 10208, 2048); (14, Some 10, 512, 512, 10232, 2048) ] );
+    ( "matrix_e7_crash.txt",
+      [ (26, Some 19, 481, 481, 13235, 1635); (26, Some 19, 486, 486, 13701, 1694) ] );
+    ( "matrix_e11.txt",
+      [ (16, None, 172, 512, 48, 195); (16, None, 301, 512, 100, 372) ] );
+    ( "matrix_e12.txt",
+      [ (24, Some 24, 512, 512, 5083, 0); (23, Some 23, 512, 512, 4315, 0) ] );
+    ( "matrix_e12_memory.txt",
+      [ (14, Some 10, 512, 512, 10232, 2048); (14, Some 10, 512, 512, 10208, 2048) ] );
+    ( "matrix_a1.txt",
+      [ (8, Some 7, 512, 512, 3764, 768); (8, Some 7, 512, 512, 3632, 882) ] );
+  ]
+
+let test_parity_goldens () =
+  List.iter
+    (fun (file, expected) ->
+      let spec =
+        match Matrix.parse_file (Filename.concat (Lazy.force scenario_dir) file) with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      let ok = function Ok s -> s | Error e -> Alcotest.failf "%s: %s" file e in
+      let spec = ok (Matrix.set_base spec ~key:"reps" ~value:"2") in
+      let spec =
+        if List.exists (fun a -> a.Matrix.axis_key = "n") spec.Matrix.axes then
+          ok (Matrix.override_axis spec ~key:"n" ~values:[ "512" ])
+        else ok (Matrix.set_base spec ~key:"n" ~value:"512")
+      in
+      let spec = ok (Matrix.set_base spec ~key:"crash_count" ~value:"64") in
+      let first =
+        match Matrix.run ~domains:1 spec with
+        | Ok { Matrix.outcomes = o :: _; _ } -> o
+        | Ok _ -> Alcotest.failf "%s: no cells" file
+        | Error e -> Alcotest.failf "%s: %s" file e
+      in
+      let got =
+        List.map
+          (fun (r : Engine.result) ->
+            ( r.Engine.rounds,
+              r.Engine.completion_round,
+              r.Engine.informed,
+              r.Engine.population,
+              r.Engine.push_tx,
+              r.Engine.pull_tx ))
+          first.Matrix.results
+      in
+      Alcotest.(check (list (pair (pair int (option int)) (pair (pair int int) (pair int int)))))
+        file
+        (List.map (fun (a, b, c, d, e, f) -> ((a, b), ((c, d), (e, f)))) expected)
+        (List.map (fun (a, b, c, d, e, f) -> ((a, b), ((c, d), (e, f)))) got))
+    parity_goldens
 
 let test_run_pool_bit_identity () =
   (* Shared-pool execution is scheduling-independent: 1 domain and 4
@@ -491,6 +579,23 @@ let test_validate () =
       Alcotest.failf "wanted Malformed, got: %s"
         (String.concat "; " (List.map Benchdoc.error_to_string errs))
 
+let test_writer_validates () =
+  (* A document assembled by the shared writer passes the validator,
+     with and without the optional top-level fields. *)
+  let (), span = Rumor_obs.Metrics.timed (fun () -> ()) in
+  let exp =
+    Benchdoc.experiment ~id:"E1" ~title:"t" span (Json.Obj [ ("x", Json.Int 1) ])
+  in
+  List.iter
+    (fun doc ->
+      Alcotest.(check (list string))
+        "writer output valid" []
+        (List.map Benchdoc.error_to_string (Benchdoc.validate doc)))
+    [
+      Benchdoc.document ~quick:false ~reps:1 [ exp ];
+      Benchdoc.document ~domains:2 ~truncated:true ~quick:true ~reps:3 [ exp ];
+    ]
+
 let test_diff () =
   let baseline =
     doc
@@ -617,6 +722,7 @@ let () =
         [
           Alcotest.test_case "matches Scenario.run" `Quick
             test_run_matches_scenario_run;
+          Alcotest.test_case "parity goldens" `Quick test_parity_goldens;
           Alcotest.test_case "pool bit-identity" `Quick
             test_run_pool_bit_identity;
           Alcotest.test_case "interrupt" `Quick test_run_tasks_interrupt;
@@ -627,6 +733,8 @@ let () =
       ( "benchdoc",
         [
           Alcotest.test_case "validate" `Quick test_validate;
+          Alcotest.test_case "writer output validates" `Quick
+            test_writer_validates;
           Alcotest.test_case "diff" `Quick test_diff;
         ] );
     ]
