@@ -83,9 +83,9 @@ let fin x = float_of_int x
 let log2 = Params.log2
 
 (* One protocol run on a fresh G(n,d) instance; returns the engine result. *)
-let run_once ?(stop = false) ~rng ~n ~d protocol =
+let run_once ~rng ~n ~d protocol =
   let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-  Run.once ~stop_when_complete:stop ~rng ~graph:g ~protocol
+  Run.once ~rng ~graph:g ~protocol
     ~source:(Run.random_source rng g) ()
 
 let mean_of f results = Summary.((of_list (List.map f results)).mean)
@@ -98,10 +98,10 @@ let eff_rounds r =
 
 (* Mean tx/node and mean completion (or last) round over [reps ()]
    fresh instances — for the sections that are not matrix grids. *)
-let sweep ?(stop = false) ~seed ~n ~d protocol_of =
+let sweep ~seed ~n ~d protocol_of =
   let results =
     Experiment.replicate_parallel ~domains:(domains ()) ~seed ~reps:(reps ())
-      (fun rng -> run_once ~stop ~rng ~n ~d (protocol_of ()))
+      (fun rng -> run_once ~rng ~n ~d (protocol_of ()))
   in
   ( mean_of (fun r -> fin (Engine.transmissions r) /. fin n) results,
     mean_of eff_rounds results )
@@ -656,8 +656,7 @@ let e10 () =
           let sources =
             Array.to_list (Rng.distinct rng ~bound:(Graph.n g) ~k:(Graph.n g / 2))
           in
-          Engine.run ~stop_when_complete:true ~rng
-            ~topology:(Topology.of_graph g)
+          Engine.run ~rng ~topology:(Topology.of_graph g)
             ~protocol:(Baselines.pull ~fanout ~horizon:400 ())
             ~sources ())
     in
@@ -1268,7 +1267,7 @@ let a10 () =
       let sync =
         Experiment.replicate_parallel ~domains:(domains ()) ~seed:(2700 + i)
           ~reps:(reps ()) (fun rng ->
-            run_once ~stop:(i = 0) ~rng ~n ~d (proto_of ()))
+            run_once ~rng ~n ~d (proto_of ()))
       in
       add_row name "sync rounds" (mean_of eff_rounds sync)
         (mean_of (fun r -> fin (Engine.transmissions r) /. fin n) sync)
@@ -1277,7 +1276,7 @@ let a10 () =
         Experiment.replicate_parallel ~domains:(domains ()) ~seed:(2800 + i)
           ~reps:(reps ()) (fun rng ->
             let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-            Rumor_sim.Async.run ~stop_when_complete:(i = 0) ~rng ~graph:g
+            Rumor_sim.Async.run ~rng ~graph:g
               ~protocol:(proto_of ()) ~sources:[ 0 ] ())
       in
       let module A = Rumor_sim.Async in

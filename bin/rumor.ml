@@ -17,9 +17,11 @@
    Every sweep is a file: size grids, the fault x estimate frontier and
    self-healing or churn points are scenario/matrix files under
    scenarios/, executed by run and matrix. broadcast, run, matrix and
-   chaos run a scenario through one function, Scenario.run_rep; they and
-   async and serve decide whether a run stops at full coverage through
-   one rule, Scenario.effective_stop.
+   chaos run a scenario through one function, Scenario.run_rep. Whether a
+   run stops at full coverage is the protocol's own field,
+   Protocol.stop_at_completion, read by the kernel for every subcommand:
+   the open-ended baselines stop there, bef and the age-out baselines run
+   their own schedules out.
 
    broadcast, multi and async take --json to emit one structured JSON
    document on stdout instead of the human report, and --trace-out FILE
@@ -187,8 +189,7 @@ let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
         in
         let source = Rng.int rng (Graph.n g) in
         Obs_metrics.timed (fun () ->
-            Engine.run ~fault:(Scenario.fault_plan scenario) ~collect_trace
-              ~stop_when_complete:(Scenario.effective_stop scenario) ~rng
+            Engine.run ~fault:(Scenario.fault_plan scenario) ~collect_trace ~rng
               ~topology:(Rumor_sim.Topology.of_graph g) ~protocol:p
               ~sources:[ source ] ())
   in
@@ -357,10 +358,7 @@ let async seed n d topology protocol alpha fanout loss json trace_out =
   let fault = Fault.make ~link_loss:loss () in
   let collect_trace = trace_out <> None in
   let res =
-    Rumor_sim.Async.run ~fault
-      ~stop_when_complete:
-        (Scenario.effective_stop { Scenario.default with protocol })
-      ~collect_trace ~rng ~graph:g ~protocol:p
+    Rumor_sim.Async.run ~fault ~collect_trace ~rng ~graph:g ~protocol:p
       ~sources:[ Run.random_source rng g ] ()
   in
   (match (res.Rumor_sim.Async.trace, trace_out) with

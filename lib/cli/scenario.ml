@@ -39,7 +39,6 @@ type t = {
   repair_timeout : int;
   repair_backoff : int;
   max_epochs : int;
-  stop : string;
   source : string;
   reps : int;
   domains : int;
@@ -75,7 +74,6 @@ let default =
     repair_timeout = 2;
     repair_backoff = 8;
     max_epochs = 0;
-    stop = "auto";
     source = "random";
     reps = 5;
     domains = 0;
@@ -223,11 +221,6 @@ let set_key acc ~key ~value : (t, string) result =
       parse_int value (fun x ->
           if x < 0 then err "max_epochs must be >= 0"
           else ok { acc with max_epochs = x })
-  | "stop" -> begin
-      match value with
-      | "auto" | "true" | "false" -> ok { acc with stop = value }
-      | _ -> err "stop must be auto, true or false"
-    end
   | "source" -> begin
       match value with
       | "random" | "first" -> ok { acc with source = value }
@@ -414,21 +407,13 @@ let make_protocol ?n_estimate ~protocol ~n ~d ~alpha ~fanout () =
   | "quasirandom" -> Baselines.quasirandom ~fanout:1 ~horizon
   | other -> failwith (Printf.sprintf "unknown protocol %S" other)
 
-let protocol_name t =
-  (make_protocol ~protocol:t.protocol ~n:t.n ~d:t.d ~alpha:t.alpha
-     ~fanout:t.fanout ())
-    .Rumor_sim.Protocol.name
+let scenario_protocol t =
+  make_protocol ~protocol:t.protocol ~n:t.n ~d:t.d ~alpha:t.alpha
+    ~fanout:t.fanout ()
 
-(* bef and bef-seq carry their own phase schedule (and push-pull-age
-   its age-out), so they run to quiescence; the open-ended baselines
-   stop at full coverage to keep their horizons from dominating. *)
+let protocol_name t = (scenario_protocol t).Rumor_sim.Protocol.name
 let effective_stop t =
-  match t.stop with
-  | "true" -> true
-  | "false" -> false
-  | _ ->
-      t.protocol <> "bef" && t.protocol <> "bef-seq"
-      && t.protocol <> "push-pull-age"
+  (scenario_protocol t).Rumor_sim.Protocol.stop_at_completion
 
 let fault_plan t =
   let burst =
@@ -540,8 +525,7 @@ let run_rep ?monitor ?collect_trace scenario rng =
         ~packed ~config ~rng ~topology ~protocol ~sources ()
   | None ->
       Engine.run ~fault ?collect_trace ~forget_on_recover:churn_on ?reset
-        ?on_round_end ~stop_when_complete:(effective_stop scenario) ?monitor
-        ~packed ~rng ~topology ~protocol ~sources ()
+        ?on_round_end ?monitor ~packed ~rng ~topology ~protocol ~sources ()
 
 type scalars = {
   coverage : float;

@@ -55,9 +55,10 @@
 
     [source] picks the broadcast source: [random] (the default) draws
     it from the replication stream, [first] pins node 0 without
-    consuming randomness. [stop] overrides the stop-at-full-coverage
-    rule ([auto]: open-ended baselines stop at coverage, bef/bef-seq
-    and push-pull-age run their own schedules out).
+    consuming randomness. There is no stopping key: the protocol
+    decides ([Rumor_sim.Protocol.stop_at_completion]) — the
+    open-ended baselines stop at full coverage, bef/bef-seq and
+    push-pull-age run their own schedules out.
 
     The [implicit-*] topologies ({!Rumor_sim.Topology.implicit_regular}
     and friends) compute neighbours on the fly from a per-repetition
@@ -111,9 +112,6 @@ type t = {
       (** silent rounds before an uninformed node starts pulling *)
   repair_backoff : int;  (** backoff window cap for repair pulls, rounds *)
   max_epochs : int;  (** repair epoch budget; 0 disables self-healing *)
-  stop : string;
-      (** stop-at-full-coverage: [auto] (default), [true] or [false].
-          See {!effective_stop}. *)
   source : string;
       (** broadcast source: [random] (drawn from the replication
           stream) or [first] (node 0, no draw). *)
@@ -202,10 +200,10 @@ val make_protocol :
     @raise Failure on an unknown protocol name. *)
 
 val effective_stop : t -> bool
-(** The stop-at-full-coverage flag a run will use: the [stop] key when
-    explicit, otherwise [true] exactly for the open-ended baselines
-    (everything but bef, bef-seq and push-pull-age, which carry their
-    own schedules). *)
+(** Whether the scenario's runs stop at full coverage: the
+    [Rumor_sim.Protocol.stop_at_completion] field of the protocol
+    {!make_protocol} builds for it. Every run follows that field
+    already; this only reads it. *)
 
 val fault_plan : t -> Rumor_sim.Fault.t
 (** Assemble the scenario's fault keys into an engine fault plan. *)

@@ -90,6 +90,7 @@ let make_with ~name ~push_window ~selector (s : Phase.schedule) =
         | Informed _ as st -> st);
     feedback = Protocol.no_feedback;
     quiescent = quiescent_with s;
+    stop_at_completion = false;
     packed = packed_with ~push_window s;
   }
 

@@ -25,7 +25,9 @@ val make :
       {!sequentialised} phase lengths for the memory variant of [13].
 
     The protocol's horizon is the end of the schedule; runs stop
-    earlier once every informed node is quiescent. *)
+    earlier once every informed node is quiescent, never at mere full
+    coverage ([stop_at_completion = false]): Theorems 2/3 count every
+    transmission of the schedule. *)
 
 val schedule_of : Params.t -> Phase.variant option -> Phase.schedule
 (** The schedule [make] would use — for tests and reporting. *)

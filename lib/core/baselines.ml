@@ -63,6 +63,7 @@ let constant_protocol ~name ~selector ~horizon ~decision =
     receive;
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > horizon);
+    stop_at_completion = true;
     packed =
       packed_of ~horizon ~decide_code ~quiescent_code:(fun ~round ->
           round > horizon);
@@ -107,6 +108,7 @@ let push_pull_age ?(fanout = 1) ~push_rounds ~total_rounds () =
     receive;
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > total_rounds);
+    stop_at_completion = false;
     packed =
       packed_of ~horizon:total_rounds ~decide_code ~quiescent_code:(fun ~round ->
           round > total_rounds);
@@ -133,6 +135,7 @@ let push_then_pull ?(fanout = 1) ~push_rounds ~total_rounds () =
     receive;
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > total_rounds);
+    stop_at_completion = false;
     packed =
       packed_of ~horizon:total_rounds ~decide_code ~quiescent_code:(fun ~round ->
           round > total_rounds);

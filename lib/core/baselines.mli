@@ -2,14 +2,19 @@
 
     All of them live in the standard random phone call model (one
     uniformly random neighbour per round) unless a different selector
-    is requested. State is the receipt round, as in {!Algorithm}. *)
+    is requested. State is the receipt round, as in {!Algorithm}.
+
+    {!push}, {!pull}, {!push_pull} and {!quasirandom} have no
+    termination rule: they set [Rumor_sim.Protocol.stop_at_completion],
+    so every driver measures them oracle-stopped at full coverage.
+    {!push_pull_age} and {!push_then_pull} end on their own schedule. *)
 
 type state = Algorithm.state
 
 val push : ?fanout:int -> horizon:int -> unit -> state Rumor_sim.Protocol.t
 (** The classic push algorithm [7,33]: every informed node pushes in
-    every round until [horizon]. Run with [stop_when_complete:true] to
-    measure its [Theta(n log n)] oracle-stopped transmission count. *)
+    every round until [horizon]; runs stop at full coverage, which
+    measures its [Theta(n log n)] oracle-stopped transmission count. *)
 
 val pull : ?fanout:int -> horizon:int -> unit -> state Rumor_sim.Protocol.t
 (** The pull algorithm: every informed node answers every caller. *)

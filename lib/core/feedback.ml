@@ -85,6 +85,7 @@ let make ~name ~fanout ~horizon ~feedback ~quiescent_active ~packed =
         match state with
         | Uninformed | Removed -> true
         | Active _ as st -> round > horizon || quiescent_active st ~round);
+    stop_at_completion = false;
     packed;
   }
 

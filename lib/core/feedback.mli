@@ -16,7 +16,9 @@
     estimate of [n] — the trade-off against the paper's oblivious
     schedule is residue (uninformed fraction left when the rumor dies)
     versus traffic. Per [7], counter beats coin and feedback beats
-    blind on residue at equal traffic. *)
+    blind on residue at equal traffic. Interest loss is their own
+    termination rule, so none stops at mere full coverage
+    ([stop_at_completion = false]). *)
 
 type state
 (** Informed/uninformed plus interest bookkeeping. *)

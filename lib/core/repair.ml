@@ -74,6 +74,7 @@ let protocol cfg =
     receive = (fun () ~round:_ -> ());
     feedback = Protocol.no_feedback;
     quiescent = (fun () ~round -> round > cfg.quiescence);
+    stop_at_completion = true;
     (* Unit state packs to a single constant code, so repair epochs at
        the 10^7+ scale skip the capacity-sized unit array too. *)
     packed =

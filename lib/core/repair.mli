@@ -78,9 +78,10 @@ val config :
 val protocol : config -> unit Rumor_sim.Protocol.t
 (** The per-epoch protocol: informed nodes push never, answer pulls
     while [round <= quiescence], and are quiescent afterwards; horizon
-    is [epoch_rounds]. Pair it with the gate from {!strategy} — without
-    a gate every node (informed included) would open channels each
-    round. *)
+    is [epoch_rounds], and the epoch ends as soon as every live node is
+    informed ([stop_at_completion = true]). Pair it with the gate from
+    {!strategy} — without a gate every node (informed included) would
+    open channels each round. *)
 
 val strategy :
   config ->

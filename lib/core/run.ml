@@ -7,14 +7,12 @@ let random_source rng g =
   if Graph.n g = 0 then invalid_arg "Run.random_source: empty graph";
   Rng.int rng (Graph.n g)
 
-let once ?fault ?collect_trace ?stop_when_complete ?packed ~rng ~graph ~protocol
-    ~source () =
-  Engine.run ?fault ?collect_trace ?stop_when_complete ?packed ~rng
+let once ?fault ?collect_trace ?packed ~rng ~graph ~protocol ~source () =
+  Engine.run ?fault ?collect_trace ?packed ~rng
     ~topology:(Topology.of_graph graph) ~protocol ~sources:[ source ] ()
 
-let repeat ?fault ?stop_when_complete ~rng ~graph ~protocol ~times () =
+let repeat ?fault ~rng ~graph ~protocol ~times () =
   List.init times (fun i ->
       let stream = Rng.fork rng i in
       let source = random_source stream graph in
-      once ?fault ?stop_when_complete ~rng:stream ~graph
-        ~protocol:(protocol ()) ~source ())
+      once ?fault ~rng:stream ~graph ~protocol:(protocol ()) ~source ())

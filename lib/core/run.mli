@@ -7,7 +7,6 @@ val random_source : Rumor_rng.Rng.t -> Rumor_graph.Graph.t -> int
 val once :
   ?fault:Rumor_sim.Fault.t ->
   ?collect_trace:bool ->
-  ?stop_when_complete:bool ->
   ?packed:bool ->
   rng:Rumor_rng.Rng.t ->
   graph:Rumor_graph.Graph.t ->
@@ -15,11 +14,11 @@ val once :
   source:int ->
   unit ->
   Rumor_sim.Engine.result
-(** Broadcast once from [source] on a static graph. *)
+(** Broadcast once from [source] on a static graph, to the protocol's
+    own stopping rule ([Rumor_sim.Protocol.stop_at_completion]). *)
 
 val repeat :
   ?fault:Rumor_sim.Fault.t ->
-  ?stop_when_complete:bool ->
   rng:Rumor_rng.Rng.t ->
   graph:Rumor_graph.Graph.t ->
   protocol:(unit -> 'st Rumor_sim.Protocol.t) ->

@@ -63,36 +63,28 @@ let engine_result (r : Engine.result) =
 
 let multi_result (r : Multi.result) =
   Json.Obj
-    ([
-       ("rounds", Json.Int r.Multi.rounds);
-       ("channels", Json.Int r.Multi.channels);
-       ("population", Json.Int r.Multi.population);
-       ("total_tx", Json.Int (Multi.total_transmissions r));
-       ("all_complete", Json.Bool (Multi.all_complete r));
-       ( "messages",
-         Json.List
-           (Array.to_list
-              (Array.map
-                 (fun (m : Multi.message_result) ->
-                   Json.Obj
-                     [
-                       ( "completion_round",
-                         match m.Multi.completion_round with
-                         | Some c -> Json.Int c
-                         | None -> Json.Null );
-                       ("informed", Json.Int m.Multi.informed);
-                       ("transmissions", Json.Int m.Multi.transmissions);
-                     ])
-                 r.Multi.messages)) );
-     ]
-    @
-    match r.Multi.repair with
-    | [] -> []
-    | epochs ->
-        [
-          ("epochs_used", Json.Int (List.length epochs));
-          ("repair", Json.List (List.map epoch_stat epochs));
-        ])
+    [
+      ("rounds", Json.Int r.Multi.rounds);
+      ("channels", Json.Int r.Multi.channels);
+      ("population", Json.Int r.Multi.population);
+      ("total_tx", Json.Int (Multi.total_transmissions r));
+      ("all_complete", Json.Bool (Multi.all_complete r));
+      ( "messages",
+        Json.List
+          (Array.to_list
+             (Array.map
+                (fun (m : Multi.message_result) ->
+                  Json.Obj
+                    [
+                      ( "completion_round",
+                        match m.Multi.completion_round with
+                        | Some c -> Json.Int c
+                        | None -> Json.Null );
+                      ("informed", Json.Int m.Multi.informed);
+                      ("transmissions", Json.Int m.Multi.transmissions);
+                    ])
+                r.Multi.messages)) );
+    ]
 
 let async_result (r : Async.result) =
   Json.Obj

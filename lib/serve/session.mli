@@ -92,8 +92,6 @@ val is_terminal : t -> bool
 val latency_s : t -> float
 (** Submission-to-terminal wall time; 0 until terminal. *)
 
-val ceil_log2 : int -> int
-
 val deadline_s :
   deadline_factor:float -> round_budget_us:float -> spec -> float
 (** The per-attempt wall budget in seconds: the spec's explicit

@@ -13,12 +13,12 @@ type result = Kernel.async_result = {
   trace : Trace.t option;
 }
 
-let run ?fault ?stop_when_complete ?collect_trace ?on_round_end ?reset
-    ?monitor ?packed ~rng ~graph ~protocol ~sources () =
+let run ?fault ?collect_trace ?on_round_end ?reset ?monitor ?packed ~rng
+    ~graph ~protocol ~sources () =
   let n = Graph.n graph in
   if sources = [] then invalid_arg "Async.run: no sources";
   List.iter
     (fun s -> if s < 0 || s >= n then invalid_arg "Async.run: bad source")
     sources;
-  Kernel.run_async ?fault ?stop_when_complete ?collect_trace ?on_round_end
-    ?reset ?monitor ?packed ~rng ~graph ~protocol ~sources ()
+  Kernel.run_async ?fault ?collect_trace ?on_round_end ?reset ?monitor
+    ?packed ~rng ~graph ~protocol ~sources ()

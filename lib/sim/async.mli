@@ -31,7 +31,6 @@ type result = Kernel.async_result = {
 
 val run :
   ?fault:Fault.t ->
-  ?stop_when_complete:bool ->
   ?collect_trace:bool ->
   ?on_round_end:(int -> unit) ->
   ?reset:(unit -> int list) ->
@@ -45,16 +44,16 @@ val run :
   result
 (** [run ~protocol ~sources ()] executes activations in Poisson order
     to the kernel's stopping rule (quiescence at the current logical
-    round, continuous time [protocol.horizon], or — with
-    [stop_when_complete] — the oracle-stopped accounting; see
-    {!Kernel}). Only the [Uniform] selector is meaningful
-    per-activation; stateful selectors are accepted and keep their
-    per-node state across activations. [fault] is sampled through the
-    stateless view ({!Fault.channel_ok}, {!Fault.delivery_ok} with the
-    transmission's direction): independent failures and asymmetric
-    push/pull loss apply; burst and crash modes need a fault runtime
-    ({!Kernel.Full}, as driven by {!Engine.run}) and are ignored here.
-    [on_round_end] and [reset] fire at each integer time-unit boundary
-    the run crosses — the asynchronous analogue of a round end; ids
-    returned by [reset] restart uninformed.
+    round, continuous time [protocol.horizon], or — for an open-ended
+    protocol ([Protocol.stop_at_completion]) — the first moment every
+    node is informed; see {!Kernel}). Only the [Uniform] selector is
+    meaningful per-activation; stateful selectors are accepted and keep
+    their per-node state across activations. [fault] is sampled through
+    the stateless view ({!Fault.channel_ok}, {!Fault.delivery_ok} with
+    the transmission's direction): independent failures and asymmetric
+    push/pull loss apply; burst and crash modes need the synchronous
+    kernel's fault runtime ({!Engine.run}, {!Multi.run}) and are
+    ignored here. [on_round_end] and [reset] fire at each integer
+    time-unit boundary the run crosses — the asynchronous analogue of a
+    round end; ids returned by [reset] restart uninformed.
     @raise Invalid_argument if [sources] is empty or out of range. *)

@@ -1,5 +1,5 @@
-(* The synchronous single-rumor driver: one kernel table under a full
-   fault runtime. All round machinery lives in {!Kernel}. *)
+(* The synchronous single-rumor driver: one kernel table. All round
+   machinery lives in {!Kernel}. *)
 
 type epoch_stat = Kernel.epoch_stat = {
   epoch : int;
@@ -67,10 +67,14 @@ let run ?(fault = Fault.none) ?collect_trace ?stop_when_complete ?gate
     ?forget_on_recover ?reset ?on_round_end ?skew ?monitor ?packed ~rng
     ~topology ~protocol ~sources () =
   validate ~where:"Engine.run" ~topology sources;
+  let protocol =
+    match stop_when_complete with
+    | Some stop_at_completion -> { protocol with Protocol.stop_at_completion }
+    | None -> protocol
+  in
   of_kernel ~repair:[]
-    (Kernel.run ~fault:(Kernel.Full fault) ?collect_trace ?stop_when_complete
-       ?gate ?forget_on_recover ?reset ?on_round_end ?skew ?monitor ?packed
-       ~rng ~topology ~protocol
+    (Kernel.run ~fault ?collect_trace ?gate ?forget_on_recover ?reset
+       ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol
        ~tables:[| { Kernel.sources; created = 0 } |]
        ())
 

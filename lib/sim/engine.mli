@@ -17,10 +17,10 @@
     paper's theorems bound.
 
     This module is the single-rumor driver of the shared {!Kernel}: one
-    table under a {!Kernel.Full} fault runtime. The stopping rule
-    (horizon, quiescence, the oracle-stopped [stop_when_complete]
-    accounting), the randomness-order contract and the census invariant
-    are documented once, on {!Kernel}. *)
+    table. The stopping rule (horizon, quiescence, and the
+    oracle-stopped accounting an open-ended protocol asks for through
+    [Protocol.stop_at_completion]), the randomness-order contract and
+    the census invariant are documented once, on {!Kernel}. *)
 
 type epoch_stat = Kernel.epoch_stat = {
   epoch : int;  (** 1-based repair epoch index *)
@@ -32,7 +32,7 @@ type epoch_stat = Kernel.epoch_stat = {
   repair_channels : int;  (** channels the epoch opened *)
 }
 (** Accounting for one self-healing repair epoch (see {!run_epochs}).
-    Shared with {!Kernel.epoch_stat} (and so with [Multi.run_epochs]). *)
+    Shared with {!Kernel.epoch_stat}. *)
 
 type result = {
   rounds : int;  (** rounds actually executed (including repair epochs) *)
@@ -92,9 +92,11 @@ val run :
 (** [run ~rng ~topology ~protocol ~sources ()] broadcasts one rumor
     initially known to [sources], stopping per the {!Kernel} stopping
     rule: at the protocol's [horizon], earlier once every informed node
-    is quiescent, or — when [stop_when_complete] is set (default
-    false) — at the end of the first round in which every live node is
-    informed (the oracle-stopped accounting). [on_round_end] fires
+    is quiescent, or — when the protocol is open-ended
+    ([Protocol.stop_at_completion]) — at the end of the first round
+    in which every live node is informed (the oracle-stopped
+    accounting). [stop_when_complete], when given, overrides the
+    protocol's field for this run. [on_round_end] fires
     after each round and may mutate the topology (churn) but must not
     change [capacity]; newly appearing node ids start uninformed.
 
@@ -154,8 +156,7 @@ type 'st epoch_plan = 'st Kernel.epoch_plan = {
           schedules uninformed pulls (timeout + backoff) *)
 }
 (** One repair epoch's behaviour, built fresh per epoch by the strategy
-    callback of {!run_epochs}. Shared with {!Kernel.epoch_plan}, so the
-    same strategies drive [Multi.run_epochs]. *)
+    callback of {!run_epochs}. Shared with {!Kernel.epoch_plan}. *)
 
 val run_epochs :
   ?fault:Fault.t ->
@@ -194,9 +195,13 @@ val run_epochs :
     [push_tx], [pull_tx] and [channels] are cumulative across the main
     schedule and all epochs, [repair] holds one {!epoch_stat} per epoch
     in order, and [informed]/[population]/[knows] describe the final
-    state. Epochs stop early once every live node is informed; the loop
-    also stops if the rumor went extinct (no live knower remains — with
-    nobody to pull from, repair cannot make progress).
+    state. The main schedule and every epoch follow the stopping rule
+    of their own protocol, so an open-ended main protocol stops at full
+    coverage exactly as under {!run}, and an epoch whose protocol sets
+    [stop_at_completion] (the repair-pull protocol does) stops once
+    every live node is informed; the loop also stops if the rumor went
+    extinct (no live knower remains — with nobody to pull from, repair
+    cannot make progress).
 
     Churn note: [on_round_end] only fires inside the main run; repair
     epochs execute on the topology as it stands, so harnesses that

@@ -2,8 +2,6 @@ module Rng = Rumor_rng.Rng
 module Dist = Rumor_rng.Dist
 module Graph = Rumor_graph.Graph
 
-type fault_mode = Full of Fault.t | Stateless of Fault.t
-
 type table = { sources : int list; created : int }
 
 type table_result = {
@@ -115,10 +113,9 @@ type tstate = {
   mutable injected : bool;
 }
 
-let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
-    ?(stop_when_complete = false) ?gate ?(forget_on_recover = false) ?reset
-    ?on_round_end ?skew ?monitor ?(packed = true) ~rng ~topology ~protocol
-    ~tables () =
+let run ?(fault = Fault.none) ?(collect_trace = false) ?gate
+    ?(forget_on_recover = false) ?reset ?on_round_end ?skew ?monitor
+    ?(packed = true) ~rng ~topology ~protocol ~tables () =
   let open Topology in
   let open Protocol in
   let cap = topology.capacity in
@@ -135,40 +132,14 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
         done;
         !worst
   in
-  let splan = match fault with Full p | Stateless p -> p in
-  let frt =
-    match fault with
-    | Full p -> Some (Fault.start p ~capacity:cap)
-    | Stateless _ -> None
-  in
-  let active =
-    match frt with
-    | Some rt -> fun v -> Fault.active rt v
-    | None -> fun _ -> true
-  in
-  let may_recover =
-    match frt with Some rt -> Fault.may_recover rt | None -> false
-  in
-  (* Partition windows only exist under a [Full] runtime; the check is
-     two loads and a branch, and a plan without a partition never opens
-     the window, so the predicate is constant-true there. *)
-  let connected =
-    match frt with
-    | Some rt -> fun u w -> Fault.same_side rt u w
-    | None -> fun _ _ -> true
-  in
-  (* A [Stateless] plan samples exactly like a burst-free runtime: the
-     burst check draws nothing and the loss draws coincide. *)
-  let push_ok =
-    match frt with
-    | Some rt -> fun u -> Fault.push_ok rt rng ~sender:u
-    | None -> fun _ -> Fault.delivery_ok ~dir:`Push splan rng
-  in
-  let pull_ok =
-    match frt with
-    | Some rt -> fun w -> Fault.pull_ok rt rng ~sender:w
-    | None -> fun _ -> Fault.delivery_ok ~dir:`Pull splan rng
-  in
+  let frt = Fault.start fault ~capacity:cap in
+  let active v = Fault.active frt v in
+  let may_recover = Fault.may_recover frt in
+  (* A plan without a partition never opens the window, so this is two
+     loads and a branch that always answers [true]. *)
+  let connected u w = Fault.same_side frt u w in
+  let push_ok u = Fault.push_ok frt rng ~sender:u in
+  let pull_ok w = Fault.pull_ok frt rng ~sender:w in
   let selector = Selector.make protocol.selector ~capacity:cap in
   let scratch = Array.make (max (Selector.fanout protocol.selector) 1) 0 in
   (* Census strategy: see the invariant in kernel.mli. *)
@@ -413,7 +384,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     | None -> [||]
   in
   let may_shrink =
-    Fault.has_node_faults splan || forget_on_recover
+    Fault.has_node_faults fault || forget_on_recover
     || Option.is_some reset
     || Option.is_some on_round_end
   in
@@ -423,11 +394,8 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     incr round;
     let r = !round in
     cur_round := r;
-    (match frt with
-    | Some rt ->
-        Fault.begin_round ?on_recover ?on_crash rt ~rng ~round:r
-          ~degree:topology.degree ~alive:topology.alive ~informed:informed_any
-    | None -> ());
+    Fault.begin_round ?on_recover ?on_crash frt ~rng ~round:r
+      ~degree:topology.degree ~alive:topology.alive ~informed:informed_any;
     (* Inject rumors created at the end of the previous round. *)
     for j = 0 to nt - 1 do
       let tb = tbs.(j) in
@@ -451,7 +419,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
                like a call to a dead node. *)
             if
               topology.alive w && active w && connected u w
-              && Fault.channel_ok splan rng
+              && Fault.channel_ok fault rng
             then begin
               incr channels_now;
               for j = 0 to nt - 1 do
@@ -641,7 +609,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
                  "%d push + %d pull deliveries on %d channels x %d tables"
                  !push_now !pull_now !channels_now nt));
     if all_quiet then stop := true;
-    if stop_when_complete then begin
+    if protocol.stop_at_completion then begin
       let all = ref true in
       for j = 0 to nt - 1 do
         if tbs.(j).completion = None then all := false
@@ -654,12 +622,10 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
      (node-fault runs) or the post-churn recount needs a scan. *)
   let down = ref [] in
   if census_incremental then begin
-    match frt with
-    | Some rt when Fault.down_count rt > 0 ->
-        for v = cap - 1 downto 0 do
-          if topology.alive v && not (Fault.active rt v) then down := v :: !down
-        done
-    | Some _ | None -> ()
+    if Fault.down_count frt > 0 then
+      for v = cap - 1 downto 0 do
+        if topology.alive v && not (Fault.active frt v) then down := v :: !down
+      done
   end
   else begin
     live := 0;
@@ -717,7 +683,7 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
     ?monitor ?packed ~rng ~topology ~protocol ~repair ~tables () =
   if max_epochs < 0 then invalid_arg "Kernel.run_epochs: max_epochs < 0";
   let main =
-    run ~fault:(Full fault) ~collect_trace ~forget_on_recover ?reset
+    run ~fault ~collect_trace ~forget_on_recover ?reset
       ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol ~tables ()
   in
   let cap = topology.Topology.capacity in
@@ -785,9 +751,9 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
          target unreachable by construction. *)
       let epoch_fault = { fault with Fault.crash_rate = 0.; strike = None } in
       let r =
-        run ~fault:(Full epoch_fault) ~forget_on_recover
-          ~stop_when_complete:true ~gate:plan.epoch_gate ?monitor ?packed ~rng
-          ~topology ~protocol:plan.epoch_protocol ~tables:especs ()
+        run ~fault:epoch_fault ~forget_on_recover ~gate:plan.epoch_gate
+          ?monitor ?packed ~rng ~topology ~protocol:plan.epoch_protocol
+          ~tables:especs ()
       in
       (match monitor with
       | None -> ()
@@ -860,9 +826,8 @@ type async_result = {
   trace : Trace.t option;
 }
 
-let run_async ?(fault = Fault.none) ?(stop_when_complete = false)
-    ?(collect_trace = false) ?on_round_end ?reset ?monitor ?(packed = true)
-    ~rng ~graph ~protocol ~sources () =
+let run_async ?(fault = Fault.none) ?(collect_trace = false) ?on_round_end
+    ?reset ?monitor ?(packed = true) ~rng ~graph ~protocol ~sources () =
   let open Protocol in
   let n = Graph.n graph in
   let informed = Bitset.create n in
@@ -1034,7 +999,7 @@ let run_async ?(fault = Fault.none) ?(stop_when_complete = false)
           end
         done
       end;
-      if stop_when_complete && !informed_count = n then stop := true;
+      if protocol.stop_at_completion && !informed_count = n then stop := true;
       if !activations mod (4 * n) = 0 && all_quiet () then stop := true
     end
   done;

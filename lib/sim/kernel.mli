@@ -4,19 +4,17 @@
     (rumors sharing blindly opened channels) and the asynchronous
     Poisson-clock relaxation all execute the same [open; transmit;
     receive; close] schedule. This module is that schedule, implemented
-    once: channel selection via {!Selector}, fault gating via
-    {!Fault.begin_round} (stateful runtime) or {!Fault.delivery_ok}
-    (stateless sampling), bitset-backed informed state with an
-    incrementally maintained census, cached-witness quiescence, clock
-    skew and push/pull/channel accounting. The drivers are thin
-    instantiations: {!Engine.run} is one table under a {!Full} fault
-    runtime, {!Multi.run} is one table per message under {!Stateless}
-    sampling, {!Async.run} is {!run_async}.
+    once: channel selection via {!Selector}, fault gating through a
+    {!Fault.runtime} ticked by {!Fault.begin_round}, bitset-backed
+    informed state with an incrementally maintained census,
+    cached-witness quiescence, clock skew and push/pull/channel
+    accounting. The drivers are thin instantiations: {!Engine.run} is
+    one table, {!Multi.run} is one table per message, {!Async.run} is
+    {!run_async}.
 
     {2 The driver signature}
 
     A synchronous driver chooses:
-    - the {e fault mode} ({!fault_mode}) — how the plan is sampled;
     - the {e tables} — one {!table} per rumor, each with its own
       creation time, per-node protocol state, decision cache and
       transmission accounting, all sharing the round's channel set;
@@ -53,17 +51,18 @@
 
     Simulation results are pinned by golden tests, so the kernel draws
     from [rng] in a fixed, documented order. Synchronous rounds draw:
-    fault-runtime tick ({!Full} only: burst chains, recoveries, crashes,
-    strike when the schedule fires, partition side assignments when the
-    window opens) — then per live initiator in id order: neighbour
+    fault-runtime tick (burst chains, recoveries, crashes, strike when
+    the schedule fires, partition side assignments when the window
+    opens) — then per live initiator in id order: neighbour
     selection, then per opened channel: channel establishment, then per
     table: push-delivery loss for deciders, pull-delivery loss for
     answering partners. A call blocked by an open partition window is
     skipped {e before} the channel-establishment draw, exactly like a
     call to a dead node. Hooks, census maintenance, tracing and the
     invariant monitor draw nothing; a plan mode that is off draws
-    nothing; a {!Stateless} plan samples exactly like a burst-free
-    {!Full} runtime. Asynchronous runs draw: inter-activation
+    nothing, so a plan with only communication faults draws exactly
+    what the stateless {!Fault.channel_ok} / {!Fault.delivery_ok}
+    sampling would. Asynchronous runs draw: inter-activation
     exponential, activated node id, then selection and fault sampling
     as above.
 
@@ -89,25 +88,14 @@
     table is quiescent when its creation round has passed and every
     informed live node's protocol is quiescent at its next logical
     round; an informed {e crashed} node that may still recover keeps
-    the system non-quiescent), or — when [stop_when_complete] is set —
-    at the end of the first round in which every table has completed
-    (every live node informed). The latter is the {e oracle-stopped}
-    accounting used when measuring baseline message complexity: real
-    nodes cannot detect global completion, so oracle-stopped
-    transmission counts are lower bounds for protocols without a
-    termination rule. *)
-
-type fault_mode =
-  | Full of Fault.t
-      (** Drive the whole plan through a fresh {!Fault.runtime}:
-          Gilbert–Elliott bursts, crash/recovery and strikes apply, and
-          the runtime is ticked at the start of every round. *)
-  | Stateless of Fault.t
-      (** Sample only the independent components
-          ({!Fault.channel_ok} / {!Fault.delivery_ok}): call failure,
-          link loss, asymmetric push/pull loss. Burst and crash modes
-          are ignored. Draws are identical to a burst-free [Full]
-          runtime of the same plan. *)
+    the system non-quiescent), or — when the protocol is open-ended
+    ([Protocol.stop_at_completion]) — at the end of the first round
+    in which every table has completed (every live node informed).
+    The latter is the {e oracle-stopped} accounting used when
+    measuring baseline message complexity: real nodes cannot detect
+    global completion, so oracle-stopped transmission counts are lower
+    bounds for protocols without a termination rule. The protocol owns
+    this choice: of the drivers only {!Engine.run} takes an override. *)
 
 type table = {
   sources : int list;  (** nodes that know this rumor at [created] *)
@@ -149,9 +137,8 @@ type gate = informed:bool -> node:int -> round:int -> bool
     of them. *)
 
 val run :
-  ?fault:fault_mode ->
+  ?fault:Fault.t ->
   ?collect_trace:bool ->
-  ?stop_when_complete:bool ->
   ?gate:gate ->
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
@@ -170,8 +157,9 @@ val run :
     representation when the protocol declares packed ops; it has no
     effect otherwise, and results are bit-identical either way.
 
-    [fault] defaults to [Stateless Fault.none] (both modes of an empty
-    plan draw nothing and behave identically). [gate], [skew],
+    [fault] (default {!Fault.none}) drives a fresh {!Fault.runtime},
+    ticked at the start of every round: Gilbert–Elliott bursts,
+    crash/recovery, strikes and partitions apply. [gate], [skew],
     [forget_on_recover], [reset] and [on_round_end] behave as
     documented on {!Engine.run}; they apply uniformly to every table.
     [reset] ids and recovery amnesia clear {e every} table's flag for
@@ -232,7 +220,7 @@ val run_epochs :
   tables:table array ->
   unit ->
   result * epoch_stat list
-(** Run the main schedule once (under [Full fault]), then — while some
+(** Run the main schedule once under [fault], then — while some
     table has a live knower and a live non-knower, and at most
     [max_epochs] (default 8) times — ask [repair ~epoch ~knows] (one
     [knows] bitset per table) for a fresh {!epoch_plan} and re-run the
@@ -261,7 +249,6 @@ type async_result = {
 
 val run_async :
   ?fault:Fault.t ->
-  ?stop_when_complete:bool ->
   ?collect_trace:bool ->
   ?on_round_end:(int -> unit) ->
   ?reset:(unit -> int list) ->
@@ -278,12 +265,14 @@ val run_async :
     transmits as in a synchronous round at logical round
     [floor time + 1]; deliveries apply immediately. The run stops once
     every informed node is quiescent (checked every [4n] activations),
-    at continuous time [protocol.horizon], or — with
-    [stop_when_complete] — as soon as everyone is informed (the
-    oracle-stopped accounting; see the stopping rule above). [fault] is
-    sampled statelessly as in {!Stateless}. [on_round_end] and [reset]
-    fire at each integer time-unit boundary the run crosses (the
-    asynchronous analogue of a round end); ids returned by [reset]
+    at continuous time [protocol.horizon], or — for an open-ended
+    protocol ([Protocol.stop_at_completion]) — as soon as everyone
+    is informed (the oracle-stopped accounting; see the stopping rule
+    above). [fault] is sampled statelessly ({!Fault.channel_ok} /
+    {!Fault.delivery_ok}): call failure, link loss and asymmetric
+    push/pull loss apply, burst and node faults do not. [on_round_end]
+    and [reset] fire at each integer time-unit boundary the run crosses
+    (the asynchronous analogue of a round end); ids returned by [reset]
     restart uninformed. [monitor] checks the census and monotonicity
     invariants at those same boundaries. Without hooks, tracing or a
     monitor the activation loop is unchanged and draws identically to

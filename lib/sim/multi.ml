@@ -1,6 +1,5 @@
-(* The multi-rumor driver: one kernel table per message under
-   stateless fault sampling, sharing each round's channel set. All
-   round machinery lives in {!Kernel}. *)
+(* The multi-rumor driver: one kernel table per message, sharing each
+   round's channel set. All round machinery lives in {!Kernel}. *)
 
 type message = { source : int; created : int }
 
@@ -15,7 +14,6 @@ type result = {
   channels : int;
   population : int;
   messages : message_result array;
-  repair : Kernel.epoch_stat list;
   trace : Trace.t option;
 }
 
@@ -42,7 +40,13 @@ let tables_of messages =
        (fun m -> { Kernel.sources = [ m.source ]; created = m.created })
        messages)
 
-let of_kernel ~repair (k : Kernel.result) =
+let run ?(fault = Fault.none) ?collect_trace ?on_round_end ?reset ?monitor
+    ?packed ~rng ~topology ~protocol ~messages () =
+  validate ~topology messages;
+  let k =
+    Kernel.run ~fault ?collect_trace ?on_round_end ?reset ?monitor ?packed
+      ~rng ~topology ~protocol ~tables:(tables_of messages) ()
+  in
   {
     rounds = k.Kernel.rounds;
     channels = k.Kernel.channels;
@@ -56,26 +60,5 @@ let of_kernel ~repair (k : Kernel.result) =
             transmissions = t.Kernel.push_tx + t.Kernel.pull_tx;
           })
         k.Kernel.tables;
-    repair;
     trace = k.Kernel.trace;
   }
-
-let run ?(fault = Fault.none) ?collect_trace ?on_round_end ?reset ?monitor
-    ?packed ~rng ~topology ~protocol ~messages () =
-  validate ~topology messages;
-  of_kernel ~repair:[]
-    (Kernel.run ~fault:(Kernel.Stateless fault) ?collect_trace ?on_round_end
-       ?reset ?monitor ?packed ~rng ~topology ~protocol
-       ~tables:(tables_of messages) ())
-
-let run_epochs ?fault ?collect_trace ?forget_on_recover ?on_round_end ?reset
-    ?(max_epochs = 8) ?monitor ?packed ~rng ~topology ~protocol ~repair
-    ~messages () =
-  if max_epochs < 0 then invalid_arg "Multi.run_epochs: max_epochs < 0";
-  validate ~topology messages;
-  let k, stats =
-    Kernel.run_epochs ?fault ?collect_trace ?forget_on_recover ?on_round_end
-      ?reset ~max_epochs ?monitor ?packed ~rng ~topology ~protocol ~repair
-      ~tables:(tables_of messages) ()
-  in
-  of_kernel ~repair:stats k

@@ -9,8 +9,8 @@
     share one channel set per round, each following its own copy of the
     protocol schedule (ages are per-rumor), with per-rumor transmission
     accounting. It is a thin instantiation of {!Kernel} — one table per
-    message under {!Kernel.Stateless} fault sampling — and inherits the
-    kernel's stopping rule, hook surface and census machinery. *)
+    message — and inherits the kernel's fault runtime, stopping rule,
+    hook surface and census machinery. *)
 
 type message = { source : int; created : int }
 (** A rumor, injected at [source] at the end of round [created]
@@ -29,9 +29,6 @@ type result = {
   channels : int;  (** channels opened — shared by all rumors *)
   population : int;  (** live nodes at the end *)
   messages : message_result array;  (** indexed like the input list *)
-  repair : Kernel.epoch_stat list;
-      (** per-epoch repair accounting, oldest first; [[]] for plain
-          {!run} results *)
   trace : Trace.t option;
       (** per-round rows when requested ([informed] / [newly] sum over
           rumors) *)
@@ -58,43 +55,14 @@ val run :
   result
 (** [run ~messages ()] drives all rumors to the kernel's stopping rule
     (each rumor [m] runs its protocol with logical round
-    [round - m.created]; see {!Kernel} for horizon and quiescence).
-    [fault] is sampled through the stateless view ({!Fault.channel_ok},
-    {!Fault.delivery_ok} with the transmission's direction): independent
-    failures and asymmetric push/pull loss apply; burst and crash modes
-    need a fault runtime ({!Kernel.Full}, as driven by {!Engine.run})
-    and are ignored here. [on_round_end] and [reset] behave as on
-    {!Engine.run} — installing [on_round_end] switches the census to
-    the full per-round recount so churn stays correct; [reset] ids
-    forget {e every} rumor.
+    [round - m.created]; see {!Kernel} for horizon and quiescence). An
+    open-ended protocol ([Protocol.stop_at_completion]) stops at the
+    end of the first round in which every rumor has reached every live
+    node, exactly like {!Engine.run}. [fault] drives the kernel's fault
+    runtime as on {!Engine.run}: independent failures, asymmetric
+    push/pull loss, bursts, crashes, strikes and partitions all apply.
+    [on_round_end] and [reset] behave as on {!Engine.run} — installing
+    [on_round_end] switches the census to the full per-round recount so
+    churn stays correct; [reset] ids forget {e every} rumor.
     @raise Invalid_argument if [messages] is empty or a source is dead
     or out of range. *)
-
-val run_epochs :
-  ?fault:Fault.t ->
-  ?collect_trace:bool ->
-  ?forget_on_recover:bool ->
-  ?on_round_end:(int -> unit) ->
-  ?reset:(unit -> int list) ->
-  ?max_epochs:int ->
-  ?monitor:Invariant.t ->
-  ?packed:bool ->
-  rng:Rumor_rng.Rng.t ->
-  topology:Topology.t ->
-  protocol:'st Protocol.t ->
-  repair:(epoch:int -> knows:Bitset.t array -> 'r Kernel.epoch_plan) ->
-  messages:message list ->
-  unit ->
-  result
-(** Self-healing repair epochs for a multi-rumor workload
-    ({!Kernel.run_epochs}; the analogue of {!Engine.run_epochs}).
-    Unlike {!run}, the main schedule and every epoch drive the whole
-    plan through a fault runtime, so burst and crash modes apply.
-    [repair] receives one [knows] bitset per message (indexed like
-    [messages]); each epoch restarts every rumor from all its current
-    knowers with the plan's gate installed. The result aggregates
-    rounds / channels / per-rumor transmissions across the main run
-    and all epochs; [repair] holds one {!Kernel.epoch_stat} per epoch
-    ([epoch_informed] counts nodes informed of {e every} rumor).
-    @raise Invalid_argument if [max_epochs < 0] or [messages] is
-    invalid for {!run}. *)

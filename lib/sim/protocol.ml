@@ -29,6 +29,7 @@ type 'st t = {
   receive : 'st -> round:int -> 'st;
   feedback : 'st -> round:int -> 'st;
   quiescent : 'st -> round:int -> bool;
+  stop_at_completion : bool;
   packed : 'st packed option;
 }
 

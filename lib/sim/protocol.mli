@@ -82,6 +82,17 @@ type 'st t = {
   quiescent : 'st -> round:int -> bool;
       (** [true] when an informed node will never transmit at any round
           [>= round]; lets the engine stop early *)
+  stop_at_completion : bool;
+      (** the stopping rule: [true] for an {e open-ended} protocol (push,
+          pull, push-pull, quasirandom, a repair epoch), which has no
+          termination rule of its own and is measured {e oracle-stopped}
+          — every driver ends the run at the end of the first round in
+          which every live node is informed; [false] for a
+          {e self-terminating} protocol (bef, bef-seq, the age-out and
+          push-then-pull baselines, the Demers variants), whose own
+          schedule or counters end the run. Oracle-stopped transmission
+          counts are lower bounds: real nodes cannot detect global
+          completion. *)
   packed : 'st packed option;
       (** optional compact-state path; [None] keeps the boxed ['st
           array] representation. {b Warning:} a [{ p with decide = … }]

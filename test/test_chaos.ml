@@ -345,6 +345,34 @@ let test_run_one_matches_run_rep () =
         (Engine.coverage r) o.Chaos.coverage)
     Scenario.protocols
 
+(* Repair epochs only start once the main schedule has left some live
+   node uninformed, so on a fault-free run every protocol must report
+   the same run with repair on as off — an open-ended baseline stops at
+   full coverage either way. *)
+let test_repair_keeps_stopping_rule () =
+  List.iter
+    (fun protocol ->
+      let s =
+        { Scenario.default with Scenario.seed = 3; n = 512; d = 8; protocol }
+      in
+      let run max_epochs =
+        Scenario.run_rep { s with Scenario.max_epochs } (Rng.create 3)
+      in
+      let off = run 0 and on = run 4 in
+      let check_int what f =
+        Alcotest.(check int) (protocol ^ " " ^ what) (f off) (f on)
+      in
+      check_int "rounds" (fun r -> r.Engine.rounds);
+      Alcotest.(check (option int)) (protocol ^ " completion round")
+        off.Engine.completion_round on.Engine.completion_round;
+      check_int "push tx" (fun r -> r.Engine.push_tx);
+      check_int "pull tx" (fun r -> r.Engine.pull_tx);
+      Alcotest.(check (float 0.)) (protocol ^ " coverage")
+        (Engine.coverage off) (Engine.coverage on))
+    Scenario.protocols;
+  (* The rule is the protocol's: no scenario key overrides it. *)
+  check_error "stop = true\n" [ "line 1"; "unknown key: stop" ]
+
 (* One scenario per topology/repair/churn/source combination that used
    to take its own code path in [Scenario.run_rep]. The digests were
    recorded before those paths were merged into one sequence, so any
@@ -508,6 +536,8 @@ let () =
             test_run_one_deterministic;
           Alcotest.test_case "run_one stops like run_rep" `Quick
             test_run_one_matches_run_rep;
+          Alcotest.test_case "repair keeps the stopping rule" `Quick
+            test_repair_keeps_stopping_rule;
           Alcotest.test_case "run_rep goldens per former branch" `Quick
             test_run_rep_goldens;
           Alcotest.test_case "sample deterministic" `Quick

@@ -36,6 +36,7 @@ let test_log_helpers () =
   Alcotest.(check int) "ceil_log2 1" 0 (Params.ceil_log2 1);
   Alcotest.(check int) "ceil_log2 2" 1 (Params.ceil_log2 2);
   Alcotest.(check int) "ceil_log2 3" 2 (Params.ceil_log2 3);
+  Alcotest.(check int) "ceil_log2 4" 2 (Params.ceil_log2 4);
   Alcotest.(check int) "ceil_log2 1024" 10 (Params.ceil_log2 1024);
   Alcotest.(check int) "ceil_log2 1025" 11 (Params.ceil_log2 1025);
   Alcotest.check_raises "ceil_log2 0" (Invalid_argument "Params.ceil_log2: n < 1")
@@ -304,7 +305,7 @@ let test_push_completes () =
   let rng = Rng.create 50 in
   let g = Regular.sample_connected ~rng ~n:512 ~d:6 Regular.Pairing in
   let res =
-    Run.once ~stop_when_complete:true ~rng ~graph:g
+    Run.once ~rng ~graph:g
       ~protocol:(Baselines.push ~horizon:300 ())
       ~source:0 ()
   in
@@ -314,7 +315,7 @@ let test_push_completes () =
 let test_pull_completes_on_complete_graph () =
   let rng = Rng.create 51 in
   let res =
-    Run.once ~stop_when_complete:true ~rng ~graph:(Classic.complete 128)
+    Run.once ~rng ~graph:(Classic.complete 128)
       ~protocol:(Baselines.pull ~horizon:300 ())
       ~source:0 ()
   in
@@ -329,7 +330,7 @@ let test_push_pull_faster_than_push () =
     for seed = 1 to 5 do
       let rng = Rng.create (100 + seed) in
       let res =
-        Run.once ~stop_when_complete:true ~rng ~graph:g ~protocol:(protocol ())
+        Run.once ~rng ~graph:g ~protocol:(protocol ())
           ~source:0 ()
       in
       total := !total + res.Engine.rounds
@@ -365,7 +366,7 @@ let test_quasirandom_completes () =
   let rng = Rng.create 53 in
   let g = Classic.hypercube 8 in
   let res =
-    Run.once ~stop_when_complete:true ~rng ~graph:g
+    Run.once ~rng ~graph:g
       ~protocol:(Baselines.quasirandom ~fanout:1 ~horizon:300)
       ~source:0 ()
   in

@@ -14,11 +14,17 @@ module Algorithm = Rumor_core.Algorithm
 module Baselines = Rumor_core.Baselines
 module Run = Rumor_core.Run
 
-let run_push ?(fanout = 1) ?(pull = false) ~graph ~horizon ~seed () =
+(* [run_out] turns off the baselines' stop at full coverage, so the run
+   lasts until the horizon. *)
+let run_push ?(fanout = 1) ?(pull = false) ?(run_out = false) ~graph ~horizon
+    ~seed () =
   let rng = Rng.create seed in
   let p =
     if pull then Baselines.push_pull ~fanout ~horizon ()
     else Baselines.push ~fanout ~horizon ()
+  in
+  let p =
+    if run_out then { p with Protocol.stop_at_completion = false } else p
   in
   Engine.run ~collect_trace:true ~rng
     ~topology:(Topology.of_graph graph)
@@ -108,7 +114,7 @@ let test_push_on_star_is_slow () =
   let g = Classic.star 16 in
   let rng = Rng.create 6 in
   let res =
-    Engine.run ~stop_when_complete:true ~rng
+    Engine.run ~rng
       ~topology:(Topology.of_graph g)
       ~protocol:(Baselines.push ~horizon:500 ())
       ~sources:[ 1 ] ()
@@ -143,7 +149,7 @@ let test_channels_per_round_identity () =
   (* With no faults and fanout f <= min degree, channels per round equal
      n * f exactly. *)
   let g = Classic.complete 20 in
-  let res = run_push ~fanout:3 ~graph:g ~horizon:6 ~seed:8 () in
+  let res = run_push ~run_out:true ~fanout:3 ~graph:g ~horizon:6 ~seed:8 () in
   Alcotest.(check int) "channels = n*f*rounds" (20 * 3 * 6) res.Engine.channels
 
 let test_push_tx_identity () =

@@ -37,6 +37,7 @@ let counting_protocol ~cell ~horizon =
         incr cell;
         st);
     quiescent = (fun _ ~round -> round > horizon);
+    stop_at_completion = false;
     packed = None;
   }
 

@@ -22,6 +22,7 @@ let pusher ?(push = true) ?(pull = false) ~horizon () =
     receive = (fun _ ~round -> ignore round; true);
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > horizon);
+    stop_at_completion = false;
     packed = None;
   }
 
@@ -304,6 +305,7 @@ let bounded_pusher ~push_until ~horizon =
     receive = (fun _ ~round -> ignore round; true);
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > horizon);
+    stop_at_completion = false;
     packed = None;
   }
 

@@ -56,7 +56,7 @@ let test_algorithm_broadcast () =
 let test_push_broadcast () =
   let rng = Rng.create 555 in
   let res =
-    Run.once ~stop_when_complete:true ~rng ~graph:(Classic.complete 128)
+    Run.once ~rng ~graph:(Classic.complete 128)
       ~protocol:(Baselines.push ~horizon:100 ())
       ~source:0 ()
   in

@@ -15,11 +15,11 @@ module Run = Rumor_core.Run
 module Experiment = Rumor_stats.Experiment
 module Summary = Rumor_stats.Summary
 
-let mean_tx_per_node ~protocol ~stop ~n ~d ~reps ~seed =
+let mean_tx_per_node ~protocol ~n ~d ~reps ~seed =
   Experiment.mean_of ~seed ~reps (fun rng ->
       let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
       let res =
-        Run.once ~stop_when_complete:stop ~rng ~graph:g ~protocol:(protocol n)
+        Run.once ~rng ~graph:g ~protocol:(protocol n)
           ~source:(Run.random_source rng g) ()
       in
       float_of_int (Engine.transmissions res) /. float_of_int n)
@@ -30,10 +30,10 @@ let test_message_scaling_shape () =
   let d = 8 and reps = 3 in
   let alg n = Algorithm.make (Params.make ~n_estimate:n ~d ()) in
   let push _n = Baselines.push ~horizon:10_000 () in
-  let alg_small = mean_tx_per_node ~protocol:alg ~stop:false ~n:1024 ~d ~reps ~seed:1 in
-  let alg_large = mean_tx_per_node ~protocol:alg ~stop:false ~n:8192 ~d ~reps ~seed:2 in
-  let push_small = mean_tx_per_node ~protocol:push ~stop:true ~n:1024 ~d ~reps ~seed:3 in
-  let push_large = mean_tx_per_node ~protocol:push ~stop:true ~n:8192 ~d ~reps ~seed:4 in
+  let alg_small = mean_tx_per_node ~protocol:alg ~n:1024 ~d ~reps ~seed:1 in
+  let alg_large = mean_tx_per_node ~protocol:alg ~n:8192 ~d ~reps ~seed:2 in
+  let push_small = mean_tx_per_node ~protocol:push ~n:1024 ~d ~reps ~seed:3 in
+  let push_large = mean_tx_per_node ~protocol:push ~n:8192 ~d ~reps ~seed:4 in
   (* 8x more nodes: push per-node cost must grow by >= 1.5 transmissions;
      the algorithm's must grow by < 1.5 (it grows like log log n). *)
   Alcotest.(check bool)
@@ -151,7 +151,7 @@ let test_push_constant_ballpark () =
     Experiment.summarize ~seed:11 ~reps:5 (fun rng ->
         let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
         let res =
-          Run.once ~stop_when_complete:true ~rng ~graph:g
+          Run.once ~rng ~graph:g
             ~protocol:(Baselines.push ~horizon:10_000 ())
             ~source:(Run.random_source rng g) ()
         in

@@ -14,8 +14,10 @@
    - The incremental census (no churn hooks) and the full per-round
      recount (hooks installed) must agree on every field — the census
      invariant documented on [Kernel].
-   - A single-message [Multi.run] under communication-only faults is
-     the same simulation as [Engine.run], table for table.
+   - A single-message [Multi.run] is the same simulation as
+     [Engine.run], table for table, under the full fault plan.
+   - Every driver follows the protocol's own stopping rule
+     ([Protocol.t.stop_at_completion]).
 
    Plus churn-hook smoke tests for the hook surface Multi/Async gained
    from the kernel. *)
@@ -52,8 +54,8 @@ module Ref_engine = struct
     down : int list;
   }
 
-  let run ?(fault = Fault.none) ?(stop_when_complete = false) ?skew ~rng
-      ~(topology : Topology.t) ~(protocol : 'st Protocol.t) ~sources () =
+  let run ?(fault = Fault.none) ?skew ~rng ~(topology : Topology.t)
+      ~(protocol : 'st Protocol.t) ~sources () =
     let cap = topology.Topology.capacity in
     let alive v = topology.Topology.alive v in
     let skew_f = match skew with Some f -> f | None -> fun _ -> 0 in
@@ -172,7 +174,8 @@ module Ref_engine = struct
       if !completion = None && !live > 0 && !know = !live then
         completion := Some r;
       if !quiet then stop := true;
-      if stop_when_complete && !completion <> None then stop := true
+      if protocol.Protocol.stop_at_completion && !completion <> None then
+        stop := true
     done;
     let live = ref 0 and know = ref 0 and down = ref [] in
     for v = cap - 1 downto 0 do
@@ -302,9 +305,11 @@ let engine_differential =
       let skew = if cfg.skewed then Some (fun v -> v mod 3) else None in
       let sources = [ Rng.int (Rng.create (0x50 + seed)) (Graph.n g) ] in
       with_protocol cfg (fun protocol ->
+          let protocol =
+            { protocol with Protocol.stop_at_completion = cfg.stop }
+          in
           let run ?on_round_end () =
             Engine.run ?skew ?on_round_end ~fault:cfg.fault
-              ~stop_when_complete:cfg.stop
               ~rng:(Rng.create (0xF00D + seed))
               ~topology ~protocol ~sources ()
           in
@@ -312,7 +317,6 @@ let engine_differential =
           let full = run ~on_round_end:(fun _ -> ()) () in
           let reference =
             Ref_engine.run ?skew ~fault:cfg.fault
-              ~stop_when_complete:cfg.stop
               ~rng:(Rng.create (0xF00D + seed))
               ~topology ~protocol ~sources ()
           in
@@ -351,9 +355,11 @@ let packed_boxed_differential =
         {
           check =
             (fun protocol ->
+              let protocol =
+                { protocol with Protocol.stop_at_completion = cfg.stop }
+              in
               let run packed =
                 Engine.run ~packed ?skew ~fault:cfg.fault
-                  ~stop_when_complete:cfg.stop
                   ~rng:(Rng.create (0xF00D + seed))
                   ~topology ~protocol ~sources ()
               in
@@ -394,25 +400,16 @@ let packed_codec_roundtrip =
                     codes);
         })
 
-(* A single rumor through Multi is the same simulation as Engine, as
-   long as the plan only uses the communication modes both fault views
-   sample identically (link/call/asymmetric loss; no bursts, crashes or
-   strikes). *)
+(* A single rumor through Multi is the same simulation as Engine: both
+   drive the whole plan (bursts, crashes, strikes included) through the
+   kernel's one fault runtime and stop by the protocol's own rule. *)
 let multi_singleton_differential =
   QCheck.Test.make ~count:60
-    ~name:"single-message Multi.run = Engine.run (communication faults)"
+    ~name:"single-message Multi.run = Engine.run (full fault plan)"
     QCheck.small_int
     (fun seed ->
       let cfg = config_of_seed seed in
-      let fault =
-        {
-          cfg.fault with
-          Fault.burst = None;
-          crash_rate = 0.;
-          recover_rate = 0.;
-          strike = None;
-        }
-      in
+      let fault = cfg.fault in
       let g = graph_of cfg in
       let topology = Topology.of_graph g in
       let source = Rng.int (Rng.create (0x50 + seed)) (Graph.n g) in
@@ -466,6 +463,58 @@ let multi_census_differential =
           && a.Multi.messages = b.Multi.messages
           && Trace.rows (Option.get a.Multi.trace)
              = Trace.rows (Option.get b.Multi.trace)))
+
+(* ------------------------------------------------------------------ *)
+(* The stopping rule.                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The protocol owns the rule: the open-ended baselines stop at the end
+   of the round (or the activation) that informs the last node, the
+   self-terminating ones run their own schedule out — the same way
+   through every driver, with no driver argument. *)
+let open_ended =
+  [
+    ("bef", false); ("bef-seq", false); ("push", true); ("pull", true);
+    ("push-pull", true); ("push-pull-age", false); ("quasirandom", true);
+  ]
+
+let test_drivers_follow_stop_field () =
+  let n = 512 and d = 8 in
+  let g =
+    Regular.sample_connected ~rng:(Rng.create 21) ~n ~d Regular.Pairing
+  in
+  let topology = Topology.of_graph g in
+  List.iter
+    (fun name ->
+      let p =
+        Rumor_cli.Scenario.make_protocol ~protocol:name ~n ~d ~alpha:1.0
+          ~fanout:4 ()
+      in
+      let stop = p.Protocol.stop_at_completion in
+      Alcotest.(check bool) (name ^ " is open-ended")
+        (List.assoc name open_ended) stop;
+      let e =
+        Engine.run ~rng:(Rng.create 22) ~topology ~protocol:p ~sources:[ 0 ] ()
+      in
+      let m =
+        Multi.run ~rng:(Rng.create 22) ~topology ~protocol:p
+          ~messages:[ { Multi.source = 0; created = 0 } ]
+          ()
+      in
+      let a =
+        Async.run ~rng:(Rng.create 22) ~graph:g ~protocol:p ~sources:[ 0 ] ()
+      in
+      Alcotest.(check bool) (name ^ " Engine.run completes") true
+        (e.Engine.completion_round <> None);
+      Alcotest.(check bool) (name ^ " Engine.run stops at completion") stop
+        (e.Engine.completion_round = Some e.Engine.rounds);
+      Alcotest.(check bool) (name ^ " Multi.run stops at completion") stop
+        (m.Multi.messages.(0).Multi.completion_round = Some m.Multi.rounds);
+      Alcotest.(check bool) (name ^ " Async.run completes") true
+        (a.Async.completion_time <> None);
+      Alcotest.(check bool) (name ^ " Async.run stops at completion") stop
+        (a.Async.completion_time = Some a.Async.time))
+    Rumor_cli.Scenario.protocols
 
 (* ------------------------------------------------------------------ *)
 (* Churn-hook smoke tests.                                            *)
@@ -575,6 +624,11 @@ let () =
             multi_singleton_differential;
             multi_census_differential;
           ] );
+      ( "stop rule",
+        [
+          Alcotest.test_case "every driver follows the protocol's field"
+            `Quick test_drivers_follow_stop_field;
+        ] );
       ( "churn hooks",
         [
           Alcotest.test_case "multi hooks fire and stay consistent" `Quick

@@ -137,7 +137,7 @@ let test_engine_result_schema () =
   let rng = Rumor_rng.Rng.create 7 in
   let g = Rumor_gen.Classic.complete 32 in
   let res =
-    Rumor_core.Run.once ~stop_when_complete:true ~rng ~graph:g
+    Rumor_core.Run.once ~rng ~graph:g
       ~protocol:(Rumor_core.Baselines.push ~horizon:100 ())
       ~source:0 ()
   in

@@ -394,6 +394,7 @@ let bounded_pusher ~push_until ~horizon =
     receive = (fun _ ~round -> ignore round; true);
     feedback = Rumor_sim.Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > horizon);
+    stop_at_completion = false;
     packed = None;
   }
 

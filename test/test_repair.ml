@@ -29,6 +29,7 @@ let pusher ~horizon =
     receive = (fun _ ~round -> ignore round; true);
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > horizon);
+    stop_at_completion = false;
     packed = None;
   }
 

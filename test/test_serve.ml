@@ -133,14 +133,6 @@ let test_mailbox_concurrent_conservation () =
 
 (* --- deadline math --- *)
 
-let test_ceil_log2 () =
-  Alcotest.(check int) "1" 0 (Session.ceil_log2 1);
-  Alcotest.(check int) "2" 1 (Session.ceil_log2 2);
-  Alcotest.(check int) "3" 2 (Session.ceil_log2 3);
-  Alcotest.(check int) "4" 2 (Session.ceil_log2 4);
-  Alcotest.(check int) "1024" 10 (Session.ceil_log2 1024);
-  Alcotest.(check int) "1025" 11 (Session.ceil_log2 1025)
-
 let test_deadline_derivation () =
   let spec = { quick_spec with Session.n = 1024; deadline_ms = None } in
   (* 6 * ceil_log2 1024 * 2000us = 6 * 10 * 2ms = 120ms *)
@@ -616,7 +608,6 @@ let () =
         ] );
       ( "deadline",
         [
-          Alcotest.test_case "ceil_log2" `Quick test_ceil_log2;
           Alcotest.test_case "derivation" `Quick test_deadline_derivation;
         ] );
       ( "spec", [ Alcotest.test_case "validation" `Quick test_validate_spec ] );

@@ -12,8 +12,9 @@ module Selector = Rumor_sim.Selector
 module Protocol = Rumor_sim.Protocol
 module Engine = Rumor_sim.Engine
 
-(* A minimal always-push protocol used by many engine tests. *)
-let pusher ?(fanout = 1) ?(pull = false) ~horizon () =
+(* A minimal always-push protocol used by many engine tests; [stop]
+   makes it open-ended (oracle-stopped at full coverage). *)
+let pusher ?(fanout = 1) ?(pull = false) ?(stop = false) ~horizon () =
   {
     Protocol.name = "test-push";
     selector = Selector.Uniform { fanout };
@@ -24,6 +25,7 @@ let pusher ?(fanout = 1) ?(pull = false) ~horizon () =
     receive = (fun _ ~round -> ignore round; true);
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> round > horizon);
+    stop_at_completion = stop;
     packed = None;
   }
 
@@ -37,6 +39,7 @@ let silent_protocol ~horizon =
     receive = (fun _ ~round -> ignore round; true);
     feedback = Protocol.no_feedback;
     quiescent = (fun _ ~round -> ignore round; false);
+    stop_at_completion = false;
     packed = None;
   }
 
@@ -234,9 +237,9 @@ let test_selector_per_node_memory () =
 
 let run_push ?fault ?(stop = false) ?(fanout = 1) ~graph ~horizon ~seed () =
   let rng = Rng.create seed in
-  Engine.run ?fault ~stop_when_complete:stop ~rng
+  Engine.run ?fault ~rng
     ~topology:(Topology.of_graph graph)
-    ~protocol:(pusher ~fanout ~horizon ())
+    ~protocol:(pusher ~fanout ~stop ~horizon ())
     ~sources:[ 0 ] ()
 
 let test_engine_completes_complete_graph () =
@@ -371,7 +374,7 @@ let test_engine_channels_counted () =
 let test_engine_pull_direction () =
   (* Pull-only: informed nodes answer callers; on K_n one round after the
      source is called by ~everyone... with fanout 1 expect steady spread. *)
-  let p = pusher ~horizon:100 () in
+  let p = pusher ~stop:true ~horizon:100 () in
   let p =
     {
       p with
@@ -381,7 +384,7 @@ let test_engine_pull_direction () =
   in
   let rng = Rng.create 16 in
   let res =
-    Engine.run ~stop_when_complete:true ~rng
+    Engine.run ~rng
       ~topology:(Topology.of_graph (Classic.complete 64))
       ~protocol:p ~sources:[ 0 ] ()
   in
@@ -404,9 +407,9 @@ let test_engine_on_round_end_called () =
 let test_engine_multi_source () =
   let res =
     let rng = Rng.create 18 in
-    Engine.run ~stop_when_complete:true ~rng
+    Engine.run ~rng
       ~topology:(Topology.of_graph (Classic.cycle 30))
-      ~protocol:(pusher ~horizon:300 ())
+      ~protocol:(pusher ~stop:true ~horizon:300 ())
       ~sources:[ 0; 10; 20 ] ()
   in
   Alcotest.(check bool) "multi-source completes faster" true
