@@ -945,32 +945,32 @@ let serve_cmd =
 (* --- load: the fault-injecting load generator --- *)
 
 let load socket rate duration closed n d protocol topology seed alpha fanout
-    link_loss burst_loss burst_len crash_every wedge_every wedge_ms
+    loss burst_loss burst_len crash_every wedge_every wedge_ms
     settle_timeout json_path exp_id =
-  let spec =
-    {
-      Session.default_spec with
-      Session.n;
-      d;
-      protocol;
-      topology;
-      seed;
-      alpha;
-      fanout;
-      link_loss;
-      burst_loss;
-      burst_len;
-    }
-  in
-  match Session.validate_spec spec with
+  match
+    Session.admit
+      {
+        Scenario.default with
+        n;
+        d;
+        protocol;
+        topology;
+        seed;
+        alpha;
+        fanout;
+        loss;
+        burst_loss;
+        burst_len;
+      }
+  with
   | Error m ->
       prerr_endline ("rumor load: " ^ m);
       2
-  | Ok spec -> (
+  | Ok scenario -> (
       match
         Load.cfg ~rate ~duration_s:duration
           ?closed:(if closed = 0 then None else Some closed)
-          ~spec ~crash_every ~wedge_every ~wedge_ms
+          ~scenario ~crash_every ~wedge_every ~wedge_ms
           ~settle_timeout_s:settle_timeout ()
       with
       | exception Invalid_argument m ->
@@ -1060,7 +1060,7 @@ let load_protocol_arg =
     value
     & opt string "push-pull"
     & info [ "protocol" ] ~docv:"P"
-        ~doc:"bef|bef-seq|push|pull|push-pull|quasirandom.")
+        ~doc:(String.concat "|" Scenario.protocols))
 
 let load_topology_arg =
   Arg.(
@@ -1201,28 +1201,15 @@ let dry_run_arg =
    its service keys the load generator; metric names match
    {!Matrix.service_metrics}. *)
 let matrix_run_service (cell : Matrix.cell) =
-  let s = cell.Matrix.scenario in
-  let spec =
-    {
-      Session.default_spec with
-      Session.n = s.Scenario.n;
-      d = s.Scenario.d;
-      protocol = s.Scenario.protocol;
-      topology = s.Scenario.topology;
-      seed = cell.Matrix.cell_seed;
-      alpha = s.Scenario.alpha;
-      fanout = s.Scenario.fanout;
-      link_loss = s.Scenario.loss;
-      burst_loss = s.Scenario.burst_loss;
-      burst_len = s.Scenario.burst_len;
-    }
-  in
-  let spec =
-    match Session.validate_spec spec with
-    | Ok spec -> spec
+  let scenario =
+    match
+      Session.admit
+        { cell.Matrix.scenario with Scenario.seed = cell.Matrix.cell_seed }
+    with
+    | Ok s -> s
     | Error m ->
         failwith
-          (Printf.sprintf "cell %d: invalid session spec: %s"
+          (Printf.sprintf "cell %d: not a valid session scenario: %s"
              cell.Matrix.cell_index m)
   in
   let getf key default =
@@ -1239,7 +1226,7 @@ let matrix_run_service (cell : Matrix.cell) =
   let cfg =
     Load.cfg ~rate:(getf "rate" 100.) ~duration_s:(getf "duration_s" 10.)
       ?closed:(if closed = 0 then None else Some closed)
-      ~spec ~crash_every:(geti "crash_every" 0)
+      ~scenario ~crash_every:(geti "crash_every" 0)
       ~wedge_every:(geti "wedge_every" 0)
       ~wedge_ms:(getf "wedge_ms" 400.)
       ~settle_timeout_s:(getf "settle_timeout_s" 30.)

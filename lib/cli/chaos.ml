@@ -227,55 +227,13 @@ let shrink ?(budget = 40) ~fails s0 =
 
 (* --- repro artifacts ---------------------------------------------- *)
 
-(* Shortest decimal that round-trips, so a replayed scenario is the
-   same float bit for bit. *)
-let float_repr x =
-  let s = Printf.sprintf "%.12g" x in
-  if float_of_string s = x then s else Printf.sprintf "%.17g" x
-
-let scenario_text (s : Scenario.t) =
-  let open Scenario in
-  let b = Buffer.create 512 in
-  let ik k v = Buffer.add_string b (Printf.sprintf "%s = %d\n" k v) in
-  let fk k v = Buffer.add_string b (Printf.sprintf "%s = %s\n" k (float_repr v)) in
-  let sk k v = Buffer.add_string b (Printf.sprintf "%s = %s\n" k v) in
-  ik "seed" s.seed;
-  ik "n" s.n;
-  ik "d" s.d;
-  sk "topology" s.topology;
-  sk "protocol" s.protocol;
-  fk "alpha" s.alpha;
-  ik "fanout" s.fanout;
-  fk "loss" s.loss;
-  fk "call_failure" s.call_failure;
-  fk "burst_loss" s.burst_loss;
-  fk "burst_len" s.burst_len;
-  fk "crash_rate" s.crash_rate;
-  fk "recover_rate" s.recover_rate;
-  sk "crash_adversary" s.crash_adversary;
-  ik "crash_count" s.crash_count;
-  ik "crash_round" s.crash_round;
-  ik "strike_every" s.strike_every;
-  ik "partition_round" s.partition_round;
-  ik "heal_round" s.heal_round;
-  fk "partition_fraction" s.partition_fraction;
-  fk "join_prob" s.join_prob;
-  fk "leave_prob" s.leave_prob;
-  fk "n_error" s.n_error;
-  ik "repair_timeout" s.repair_timeout;
-  ik "repair_backoff" s.repair_backoff;
-  ik "max_epochs" s.max_epochs;
-  ik "reps" s.reps;
-  ik "domains" s.domains;
-  Buffer.contents b
-
 let artifact ?(notes = []) ~digest (s : Scenario.t) =
   let b = Buffer.create 1024 in
   Buffer.add_string b "# rumor-chaos/1 repro artifact\n";
   Buffer.add_string b "# replay with: rumor replay <this file>\n";
   List.iter (fun n -> Buffer.add_string b ("# " ^ n ^ "\n")) notes;
   Buffer.add_string b (Printf.sprintf "expect_digest = %s\n" digest);
-  Buffer.add_string b (scenario_text s);
+  Buffer.add_string b (Scenario.to_text s);
   Buffer.contents b
 
 let is_hex_digest d =

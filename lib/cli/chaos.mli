@@ -65,15 +65,10 @@ val shrink : ?budget:int -> fails:(Scenario.t -> bool) -> Scenario.t -> Scenario
     simplification for which [fails] still holds, until none applies or
     [budget] (default 40) candidate runs are spent. *)
 
-val scenario_text : Scenario.t -> string
-(** Render a scenario as [key = value] lines — every key explicit, in
-    canonical order, floats via shortest round-tripping decimal — such
-    that [Scenario.parse (scenario_text s) = Ok s]. *)
-
 val artifact : ?notes:string list -> digest:string -> Scenario.t -> string
 (** The [rumor-chaos/1] repro format: comment header (plus one comment
     line per note), an [expect_digest = <16 hex>] line, then
-    {!scenario_text}. *)
+    {!Scenario.to_text}. *)
 
 val parse_artifact : string -> (Scenario.t * string, string) result
 (** Parse an artifact back into its scenario and expected digest. The

@@ -88,15 +88,9 @@ let service_metrics =
     "achieved_rate"; "p50_ms"; "p99_ms"; "server_ok";
   ]
 
-(* Service cells build a [Session.spec] plus a [Load.cfg]; only these
-   scenario keys have a session-side meaning, everything else is
-   rejected rather than silently dropped. *)
-let service_scenario_keys =
-  [
-    "seed"; "n"; "d"; "protocol"; "topology"; "alpha"; "fanout"; "loss";
-    "burst_loss"; "burst_len"; "reps";
-  ]
-
+(* Service cells split their keys: these drive the load generator and
+   the embedded server; every other key is a scenario key, which is what
+   a session runs. *)
 let service_keys =
   [
     "rate"; "duration_s"; "closed"; "crash_every"; "wedge_every"; "wedge_ms";
@@ -496,8 +490,6 @@ let parse text =
               | Ok () -> Ok (base, (key, value) :: service)
               | Error e -> err e
             end
-          | Service when not (List.mem key service_scenario_keys) ->
-              err "key is not supported in service mode"
           | _ -> begin
               match Scenario.set_key base ~key ~value with
               | Ok base -> Ok (base, service)
@@ -515,15 +507,8 @@ let parse text =
           let* () = acc in
           let check key =
             match mode with
-            | Service
-              when List.mem key service_keys
-                   || List.mem key service_scenario_keys ->
-                Ok ()
-            | Service ->
-                Error
-                  (Printf.sprintf
-                     "swept key '%s' is not supported in service mode" key)
-            | Kernel -> begin
+            | Service when List.mem key service_keys -> Ok ()
+            | _ -> begin
                 match
                   Scenario.set_key Scenario.default ~key
                     ~value:"<axis-probe>"

@@ -46,9 +46,9 @@
     saturate the machine without a per-cell spawn/join barrier.
     [service] cells instead describe a [rumor load] run (keys [rate],
     [duration_s], [closed], [crash_every], [wedge_every], [wedge_ms],
-    [settle_timeout_s], [workers], [max_restarts], plus the
-    session-shaped scenario keys); the binary injects the actual
-    driver via [run_service]. *)
+    [settle_timeout_s], [workers], [max_restarts]); every other key
+    is a scenario key, and the scenario is what each session runs. The
+    binary injects the actual driver via [run_service]. *)
 
 type mode = Kernel | Service
 

@@ -116,7 +116,8 @@ let set_key acc ~key ~value : (t, string) result =
   in
   let parse_float v k =
     match float_of_string_opt (String.trim v) with
-    | Some x -> k x
+    | Some x when Float.is_finite x -> k x
+    | Some _ -> Error "expected a finite number"
     | None -> Error "expected a number"
   in
   let err msg = Error msg in
@@ -278,6 +279,17 @@ let validate acc : (t, string) result =
          "topology %s pairs nodes into perfect matchings and needs an even n \
           (got %d)"
          acc.topology acc.n)
+  else if acc.n_error *. 5. *. float_of_int acc.n >= Float.of_int max_int
+  then
+    (* The size estimate is ceil (n_error * n') for the topology's node
+       count n', and n' <= 5n everywhere (a hypercube rounds n up to a
+       power of two, product-k5 at n < 20 still has 20 nodes). Past
+       max_int the estimate would wrap, and make_protocol's floor of 4
+       would hide the overflow as a tiny estimate. *)
+    Error
+      (Printf.sprintf
+         "n_error %g makes the size estimate n_error * n overflow an int"
+         acc.n_error)
   else if not (is_implicit acc.topology) && acc.n > materialise_cap then
     Error
       (Printf.sprintf
@@ -342,6 +354,40 @@ let parse_file path =
         (fun () ->
           let len = in_channel_length ic in
           parse (really_input_string ic len))
+
+(* Shortest decimal that round-trips, so a re-parsed scenario is the
+   same float bit for bit. *)
+let float_repr x =
+  let s = Printf.sprintf "%.12g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+let bindings s =
+  let i k v = (k, string_of_int v) and f k v = (k, float_repr v) in
+  [
+    i "seed" s.seed; i "n" s.n; i "d" s.d; ("topology", s.topology);
+    ("protocol", s.protocol); f "alpha" s.alpha; i "fanout" s.fanout;
+    f "loss" s.loss; f "call_failure" s.call_failure;
+    f "burst_loss" s.burst_loss; f "burst_len" s.burst_len;
+    f "crash_rate" s.crash_rate; f "recover_rate" s.recover_rate;
+    ("crash_adversary", s.crash_adversary); i "crash_count" s.crash_count;
+    i "crash_round" s.crash_round; i "strike_every" s.strike_every;
+    i "partition_round" s.partition_round; i "heal_round" s.heal_round;
+    f "partition_fraction" s.partition_fraction; f "join_prob" s.join_prob;
+    f "leave_prob" s.leave_prob;
+  ]
+  (* An unset churn_rate is negative, which no assignment can express:
+     leaving the key out is how a file says "unset". *)
+  @ (if s.churn_rate >= 0. then [ f "churn_rate" s.churn_rate ] else [])
+  @ [
+      f "n_error" s.n_error; i "repair_timeout" s.repair_timeout;
+      i "repair_backoff" s.repair_backoff; i "max_epochs" s.max_epochs;
+      ("source", s.source); i "reps" s.reps; i "domains" s.domains;
+      ("packed", string_of_bool s.packed);
+    ]
+
+let to_text s =
+  String.concat ""
+    (List.map (fun (k, v) -> Printf.sprintf "%s = %s\n" k v) (bindings s))
 
 let make_graph ~rng ~topology ~n ~d =
   if is_implicit topology then
@@ -459,7 +505,7 @@ let repair_config scenario =
    sample, then source, then engine) is a compatibility contract: the
    goldens, the committed bench baselines and the chaos repro digests
    all depend on it. *)
-let run_rep ?monitor ?collect_trace scenario rng =
+let run_rep ?monitor ?collect_trace ?observe scenario rng =
   let churn_on =
     scenario.churn_rate >= 0. || scenario.join_prob > 0.
     || scenario.leave_prob > 0.
@@ -521,11 +567,12 @@ let run_rep ?monitor ?collect_trace scenario rng =
   let packed = scenario.packed in
   match repair_config scenario with
   | Some config ->
-      Repair.self_heal ~fault ?collect_trace ?reset ?on_round_end ?monitor
-        ~packed ~config ~rng ~topology ~protocol ~sources ()
+      Repair.self_heal ~fault ?collect_trace ?reset ?on_round_end ?observe
+        ?monitor ~packed ~config ~rng ~topology ~protocol ~sources ()
   | None ->
       Engine.run ~fault ?collect_trace ~forget_on_recover:churn_on ?reset
-        ?on_round_end ?monitor ~packed ~rng ~topology ~protocol ~sources ()
+        ?on_round_end ?observe ?monitor ~packed ~rng ~topology ~protocol
+        ~sources ()
 
 type scalars = {
   coverage : float;

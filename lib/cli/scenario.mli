@@ -20,7 +20,8 @@
     v}
 
     Lines may end in CRLF and carry trailing whitespace — files written
-    on any platform parse identically.
+    on any platform parse identically. {!to_text} renders a scenario
+    back into this form.
 
     Fault-injection keys build a full {!Rumor_sim.Fault.t} plan:
     [burst_loss] / [burst_len] (Gilbert–Elliott bursty loss),
@@ -151,7 +152,8 @@ val set_key : t -> key:string -> value:string -> (t, string) result
 val validate : t -> (t, string) result
 (** Cross-key checks run after the whole file is read: burst
     realisability, partition window ordering, churn vs implicit
-    topologies, churn-model exclusivity, matching parity, and the
+    topologies, churn-model exclusivity, matching parity, a size
+    estimate [n_error * n] that fits in an int, and the
     materialised-size cap. *)
 
 val parse : string -> (t, string) result
@@ -161,6 +163,18 @@ val parse : string -> (t, string) result
 
 val parse_file : string -> (t, string) result
 (** Read and {!parse} a file; IO failures map to [Error]. *)
+
+val bindings : t -> (string * string) list
+(** Every key of the scenario as the [(key, value)] pair {!set_key}
+    accepts, in canonical order, floats in the shortest decimal that
+    round-trips. An unset [churn_rate] (negative) is left out, since no
+    assignment can express it. Folding the pairs through {!set_key}
+    over {!default} rebuilds the scenario. *)
+
+val to_text : t -> string
+(** {!bindings} as [key = value] lines: [parse (to_text s) = Ok s] for
+    every valid [s]. The one renderer of a scenario — chaos repro
+    artifacts and the service's submit lines both go through it. *)
 
 val is_implicit : string -> bool
 (** Whether a topology name denotes a seed-derived implicit view
@@ -214,8 +228,8 @@ val protocol_name : t -> string
     fanout keys; no RNG is touched. *)
 
 val run_rep :
-  ?monitor:Rumor_sim.Invariant.t -> ?collect_trace:bool -> t ->
-  Rumor_rng.Rng.t -> Rumor_sim.Engine.result
+  ?monitor:Rumor_sim.Invariant.t -> ?collect_trace:bool ->
+  ?observe:(int -> unit) -> t -> Rumor_rng.Rng.t -> Rumor_sim.Engine.result
 (** One repetition on one pre-forked stream — the unit the matrix
     runner schedules onto its shared domain pool, and the one place a
     scenario becomes an engine run: {!run}, the matrix runner, the
@@ -229,9 +243,13 @@ val run_rep :
     compatibility contract: the same stream always yields a
     bit-identical result whichever entry point dispatched it.
 
-    [monitor] (an invariant checker; it draws no randomness) and
-    [collect_trace] (default [false]) are handed to the engine
-    unchanged; neither moves the trajectory. *)
+    [monitor] (an invariant checker; it draws no randomness),
+    [collect_trace] (default [false]) and [observe] (the engine's
+    read-only round hook, fired after every round of the main schedule
+    and of the repair epochs; it may raise to abort the run) are handed
+    to the engine unchanged; none of them moves the trajectory. The
+    [rumor serve] sessions use [observe] for their heartbeat,
+    cancellation and deadline. *)
 
 type scalars = {
   coverage : float;  (** informed / live population (0 when empty) *)

@@ -126,10 +126,10 @@ let strategy cfg ~rng ~capacity ~epoch:_ ~knows =
   { Engine.epoch_protocol = protocol cfg; epoch_gate = gate }
 
 let self_heal ?fault ?collect_trace ?(forget_on_recover = true) ?reset
-    ?on_round_end ?skew ?monitor ?packed ~config:cfg ~rng ~topology ~protocol
-    ~sources () =
+    ?on_round_end ?observe ?skew ?monitor ?packed ~config:cfg ~rng ~topology
+    ~protocol ~sources () =
   Engine.run_epochs ?fault ?collect_trace ~forget_on_recover ?reset
-    ?on_round_end ?skew ?packed ~max_epochs:cfg.max_epochs ?monitor ~rng ~topology
+    ?on_round_end ?observe ?skew ?packed ~max_epochs:cfg.max_epochs ?monitor ~rng ~topology
     ~protocol
     ~repair:(strategy cfg ~rng ~capacity:topology.Topology.capacity)
     ~sources ()

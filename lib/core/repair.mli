@@ -105,6 +105,7 @@ val self_heal :
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
+  ?observe:(int -> unit) ->
   ?skew:(int -> int) ->
   ?monitor:Rumor_sim.Invariant.t ->
   ?packed:bool ->
@@ -120,8 +121,9 @@ val self_heal :
     until every live node is informed
     ({!Rumor_sim.Engine.run_epochs}). [forget_on_recover] defaults to
     [true] here — self-healing is exactly the regime in which stale
-    post-crash state should not be trusted. The result's [repair] field
-    carries the per-epoch accounting. *)
+    post-crash state should not be trusted. [observe] fires after every
+    round of the main schedule and the epochs alike. The result's
+    [repair] field carries the per-epoch accounting. *)
 
 val heal :
   ?fault:Rumor_sim.Fault.t ->

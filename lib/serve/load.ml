@@ -17,7 +17,7 @@ type cfg = {
   rate : float;  (** open-loop target, sessions/sec *)
   duration_s : float;
   closed : int option;  (** closed loop at this concurrency instead *)
-  spec : Session.spec;  (** template; per-session seed = seed + k *)
+  scenario : Rumor_cli.Scenario.t;  (** template; session k runs seed + k *)
   crash_every : int;  (** every k-th session asks to crash its worker; 0 off *)
   wedge_every : int;  (** every k-th session wedges its worker; 0 off *)
   wedge_ms : float;
@@ -25,8 +25,8 @@ type cfg = {
 }
 
 let cfg ?(rate = 100.) ?(duration_s = 10.) ?closed
-    ?(spec = Session.default_spec) ?(crash_every = 0) ?(wedge_every = 0)
-    ?(wedge_ms = 400.) ?(settle_timeout_s = 30.) () =
+    ?(scenario = Rumor_cli.Scenario.default) ?(crash_every = 0)
+    ?(wedge_every = 0) ?(wedge_ms = 400.) ?(settle_timeout_s = 30.) () =
   if rate <= 0. then invalid_arg "Load.cfg: rate <= 0";
   if duration_s <= 0. then invalid_arg "Load.cfg: duration_s <= 0";
   (match closed with
@@ -34,7 +34,7 @@ let cfg ?(rate = 100.) ?(duration_s = 10.) ?closed
   | _ -> ());
   if crash_every < 0 || wedge_every < 0 then
     invalid_arg "Load.cfg: fault cadence < 0";
-  { rate; duration_s; closed; spec; crash_every; wedge_every; wedge_ms;
+  { rate; duration_s; closed; scenario; crash_every; wedge_every; wedge_ms;
     settle_timeout_s }
 
 type report = {
@@ -95,7 +95,7 @@ let send d line =
   ignore (Unix.write d.fd b 0 (Bytes.length b))
 
 let submit_line d k =
-  let spec = d.cfg.spec in
+  let s = d.cfg.scenario in
   let crash =
     d.cfg.crash_every > 0 && k mod d.cfg.crash_every = d.cfg.crash_every - 1
   in
@@ -103,23 +103,14 @@ let submit_line d k =
     d.cfg.wedge_every > 0 && k mod d.cfg.wedge_every = d.cfg.wedge_every - 1
   in
   let fields =
-    [
-      ("op", Json.String "submit");
-      ("n", Json.Int spec.Session.n);
-      ("d", Json.Int spec.Session.d);
-      ("protocol", Json.String spec.Session.protocol);
-      ("topology", Json.String spec.Session.topology);
-      ("seed", Json.Int (spec.Session.seed + k));
-      ("alpha", Json.Float spec.Session.alpha);
-      ("fanout", Json.Int spec.Session.fanout);
-      ("link_loss", Json.Float spec.Session.link_loss);
-      ("burst_loss", Json.Float spec.Session.burst_loss);
-      ("burst_len", Json.Float spec.Session.burst_len);
-      ("crash_worker", Json.Bool crash);
-      ("wedge_ms", Json.Float (if wedge then d.cfg.wedge_ms else 0.));
-      ("ref", Json.String (Printf.sprintf "c-%d" k));
-      ("notify", Json.Bool true);
-    ]
+    (("op", Json.String "submit")
+    :: Wire.scenario_fields { s with seed = s.seed + k })
+    @ [
+        ("crash_worker", Json.Bool crash);
+        ("wedge_ms", Json.Float (if wedge then d.cfg.wedge_ms else 0.));
+        ("ref", Json.String (Printf.sprintf "c-%d" k));
+        ("notify", Json.Bool true);
+      ]
   in
   Wire.to_line (Json.Obj fields)
 

@@ -19,7 +19,9 @@ type cfg = {
   rate : float;
   duration_s : float;
   closed : int option;
-  spec : Session.spec;  (** template; session [k] uses [seed + k] *)
+  scenario : Rumor_cli.Scenario.t;
+      (** template; session [k] runs it at [seed + k], submitted through
+          {!Wire.scenario_fields} *)
   crash_every : int;
   wedge_every : int;
   wedge_ms : float;
@@ -30,15 +32,17 @@ val cfg :
   ?rate:float ->
   ?duration_s:float ->
   ?closed:int ->
-  ?spec:Session.spec ->
+  ?scenario:Rumor_cli.Scenario.t ->
   ?crash_every:int ->
   ?wedge_every:int ->
   ?wedge_ms:float ->
   ?settle_timeout_s:float ->
   unit ->
   cfg
-(** Validated; defaults 100/s for 10 s, open loop, no faults, 30 s
-    settle. *)
+(** Validated; defaults 100/s for 10 s, open loop,
+    {!Rumor_cli.Scenario.default}, no injected faults, 30 s settle. The
+    scenario is not checked here: sessions the service refuses count
+    as rejected. *)
 
 type report = {
   wall_s : float;

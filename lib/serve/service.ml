@@ -71,8 +71,6 @@ type t = {
   mailbox : Session.t Mailbox.t;
   monitor : Monitor.t;
   latency : Latency.t;
-  topo_mutex : Mutex.t;
-  topologies : (string * int * int * int, Rumor_sim.Topology.t) Hashtbl.t;
   on_terminal : Session.t -> unit;
   ticker_stop : bool Atomic.t;
   mutable ticker : Thread.t option;
@@ -85,26 +83,6 @@ let latency t = t.latency
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
-(* Topologies are built once per (name, n, d, seed) and shared by all
-   worker domains — safe because a topology is read-only during a run
-   (faults mutate engine-side liveness, never the view), and the
-   implicit views compute neighbours purely. *)
-let topology_for t (spec : Session.spec) =
-  let key = (spec.topology, spec.n, spec.d, spec.seed) in
-  Mutex.lock t.topo_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.topo_mutex)
-    (fun () ->
-      match Hashtbl.find_opt t.topologies key with
-      | Some topo -> topo
-      | None ->
-          let topo =
-            Rumor_cli.Scenario.make_topology ~rng:(Rng.create spec.seed)
-              ~topology:spec.topology ~n:spec.n ~d:spec.d
-          in
-          Hashtbl.replace t.topologies key topo;
-          topo)
 
 (* --- terminal accounting (callers hold t.mutex) --- *)
 
@@ -177,9 +155,7 @@ let handle_attempt t ~beat s =
            attempt failure for the retry machinery. *)
         try
           Ok
-            (Session.exec
-               ~topology:(topology_for t s.Session.spec)
-               ~deadline_factor:t.cfg.deadline_factor
+            (Session.exec ~deadline_factor:t.cfg.deadline_factor
                ~round_budget_us:t.cfg.round_budget_us ~beat s)
         with
         | Session.Crash_injected as e -> raise e
@@ -406,8 +382,6 @@ let create ?(on_terminal = fun _ -> ()) cfg =
         Monitor.create ~queue_bound:cfg.queue_capacity
           ~restart_cap:cfg.max_restarts ();
       latency = Latency.create ();
-      topo_mutex = Mutex.create ();
-      topologies = Hashtbl.create 8;
       on_terminal;
       ticker_stop = Atomic.make false;
       ticker = None;

@@ -1,11 +1,9 @@
 module Rng = Rumor_rng.Rng
 module Engine = Rumor_sim.Engine
-module Fault = Rumor_sim.Fault
-module Topology = Rumor_sim.Topology
 module Scenario = Rumor_cli.Scenario
 
 (* One broadcast session: a client-submitted request to run one rumor
-   broadcast (protocol x topology x faults) to completion. The service
+   broadcast — one repetition of a scenario — to completion. The service
    multiplexes many of these over a fixed pool of worker domains, so a
    session carries everything an attempt needs plus the bookkeeping the
    supervisor and monitor reason about.
@@ -17,96 +15,70 @@ module Scenario = Rumor_cli.Scenario
    after a failover — see [Supervisor]). *)
 
 type spec = {
-  n : int;
-  d : int;
-  protocol : string;
-  topology : string;
-  seed : int;
-  alpha : float;
-  fanout : int;
-  link_loss : float;
-  burst_loss : float;
-  burst_len : float;
+  scenario : Scenario.t;  (** what to run: every scenario key but reps/domains *)
   crash_worker : bool;  (** fault injection: kill the worker domain mid-run *)
   wedge_ms : float;  (** fault injection: stall without heartbeating *)
   deadline_ms : float option;  (** per-attempt wall budget; None = derived *)
-  collect_trace : bool;
+  trace : bool;
   client_ref : string option;  (** opaque client correlation tag *)
 }
 
 let default_spec =
   {
-    n = 4096;
-    d = 8;
-    protocol = "push-pull";
-    topology = "implicit-regular";
-    seed = 1;
-    alpha = 2.0;
-    fanout = 4;
-    link_loss = 0.;
-    burst_loss = 0.;
-    burst_len = 4.;
+    scenario = Scenario.default;
     crash_worker = false;
     wedge_ms = 0.;
     deadline_ms = None;
-    collect_trace = false;
+    trace = false;
     client_ref = None;
   }
 
-(* Admission-side validation: the wire is hostile, so every numeric
-   field is range-checked before a session object is even built. The
-   [n] ceiling keeps a single session's memory bounded (the service
-   caches topologies, and materialised graphs at 2^20 are ~tens of MB);
-   protocol/topology names are whitelisted rather than discovered by
-   letting the factories raise. *)
-
-let protocols = [ "bef"; "bef-seq"; "push"; "pull"; "push-pull"; "quasirandom" ]
-
-let topologies =
-  [
-    "regular"; "hypercube"; "torus"; "complete"; "gnp"; "product-k5";
-    "implicit-regular"; "implicit-hypercube"; "implicit-chords";
-  ]
+(* Admission caps: the wire is hostile, so on top of the scenario
+   language's own checks every key whose value scales one session's
+   memory or work is capped. Materialised graphs stay under 2^20 nodes
+   (tens of MB); implicit views never materialise one and packed
+   per-node state keeps a run at bytes per node, so their ceiling is
+   the simulation frontier (bef completes at n = 10^8). *)
 
 let max_n = 1 lsl 20
-
-(* Implicit views never materialise a graph, and under the packed
-   kernel state a run costs bytes per node rather than words — so their
-   admission ceiling tracks the simulation frontier (bef completes at
-   n = 10^8), not the topology cache. Materialised specs keep the 2^20
-   cap above. *)
 let max_implicit_n = 100_000_000
+
+let admit (s : Scenario.t) =
+  let err fmt = Format.kasprintf (fun m -> Error m) fmt in
+  (* Re-reading the scenario through its own text gives a record built
+     in code the range checks a file or a submit gets from set_key. *)
+  match Scenario.parse (Scenario.to_text s) with
+  | Error _ as e -> e
+  | Ok s ->
+      let n_cap =
+        if Scenario.is_implicit s.topology then max_implicit_n else max_n
+      in
+      if s.n > n_cap then err "n must be in [4, %d]" n_cap
+      else if s.d > 64 then err "d must be in [1, 64]"
+      else if s.alpha > 64. then err "alpha must be in (0, 64]"
+      else if s.fanout > 64 then err "fanout must be in [1, 64]"
+      else if s.loss > 0.9 then err "loss must be in [0, 0.9]"
+      else if s.burst_loss > 0.5 then err "burst_loss must be in [0, 0.5]"
+      else if s.burst_len > 64. then err "burst_len must be in [1, 64]"
+      else if s.churn_rate > 1. then err "churn_rate must be at most 1"
+      else if s.max_epochs > 64 then err "max_epochs must be in [0, 64]"
+      else if s.repair_backoff > 1024 then
+        err "repair_backoff must be in [1, 1024]"
+      else Ok s
 
 let validate_spec s =
   let err fmt = Format.kasprintf (fun m -> Error m) fmt in
-  let n_cap =
-    if Scenario.is_implicit s.topology then max_implicit_n else max_n
-  in
-  if s.n < 2 || s.n > n_cap then err "n must be in [2, %d]" n_cap
-  else if s.d < 1 || s.d > 64 then err "d must be in [1, 64]"
-  else if not (List.mem s.protocol protocols) then
-    err "unknown protocol %S" s.protocol
-  else if not (List.mem s.topology topologies) then
-    err "unknown topology %S" s.topology
-  else if s.topology = "implicit-regular" && s.n land 1 = 1 then
-    err "implicit-regular needs even n"
-  else if not (Float.is_finite s.alpha) || s.alpha <= 0. || s.alpha > 64. then
-    err "alpha must be in (0, 64]"
-  else if s.fanout < 1 || s.fanout > 64 then err "fanout must be in [1, 64]"
-  else if not (Float.is_finite s.link_loss) || s.link_loss < 0. || s.link_loss > 0.9
-  then err "link_loss must be in [0, 0.9]"
-  else if
-    not (Float.is_finite s.burst_loss) || s.burst_loss < 0. || s.burst_loss > 0.5
-  then err "burst_loss must be in [0, 0.5]"
-  else if not (Float.is_finite s.burst_len) || s.burst_len < 1. || s.burst_len > 64.
-  then err "burst_len must be in [1, 64]"
-  else if not (Float.is_finite s.wedge_ms) || s.wedge_ms < 0. || s.wedge_ms > 10_000.
-  then err "wedge_ms must be in [0, 10000]"
-  else
-    match s.deadline_ms with
-    | Some ms when (not (Float.is_finite ms)) || ms < 1. || ms > 600_000. ->
-        err "deadline_ms must be in [1, 600000]"
-    | _ -> Ok s
+  match admit s.scenario with
+  | Error _ as e -> e
+  | Ok scenario ->
+      if not (Float.is_finite s.wedge_ms) || s.wedge_ms < 0. || s.wedge_ms > 10_000.
+      then err "wedge_ms must be in [0, 10000]"
+      else begin
+        match s.deadline_ms with
+        | Some ms when (not (Float.is_finite ms)) || ms < 1. || ms > 600_000. ->
+            err "deadline_ms must be in [1, 600000]"
+        | _ -> Ok { s with scenario }
+      end
 
 type outcome =
   | Completed
@@ -158,9 +130,9 @@ let make ~id ~now ~notify ~conn spec =
     spec;
     submitted_at = now;
     state = Queued;
-    protocol = spec.protocol;
+    protocol = spec.scenario.protocol;
     degraded = false;
-    trace_enabled = spec.collect_trace;
+    trace_enabled = spec.trace;
     attempts = 0;
     retries = 0;
     failovers = 0;
@@ -202,7 +174,7 @@ let deadline_s ~deadline_factor ~round_budget_us spec =
   | Some ms -> ms /. 1e3
   | None ->
       deadline_factor
-      *. float_of_int (Rumor_core.Params.ceil_log2 (max 2 spec.n))
+      *. float_of_int (Rumor_core.Params.ceil_log2 spec.scenario.n)
       *. round_budget_us *. 1e-6
 
 (* --- attempt execution --- *)
@@ -218,47 +190,34 @@ exception Crash_injected
 
 exception Stop of attempt_outcome
 
-let fault_of spec =
-  if spec.link_loss = 0. && spec.burst_loss = 0. then Fault.none
-  else
-    Fault.plan ~link_loss:spec.link_loss
-      ?burst:
-        (if spec.burst_loss > 0. then
-           Some (Fault.burst ~loss:spec.burst_loss ~burst_len:spec.burst_len)
-         else None)
-      ()
-
-(* Run one attempt on [topology] (owned and cached by the service;
-   read-only during the run, so safe to share across worker domains).
-   [beat] is the supervisor heartbeat — called every round so the
-   watchdog can tell a slow attempt from a wedged worker. Fault
-   injection (crash, wedge) fires once, early in the first attempt, so
-   the retry path is exercised without livelocking the session. *)
-let exec ~topology ~deadline_factor ~round_budget_us ~beat t =
+(* Run one attempt: rep [attempts - 1] of the session's scenario, on
+   exactly the stream [Scenario.run] gives that rep, so a retried
+   session is a fresh independent run, reproducible from the spec alone.
+   The graph is sampled inside the attempt, and the heartbeat and the
+   deadline both start at the first round: setup is charged to neither.
+   [observe] is read-only, so the run keeps the kernel's incremental
+   census. Fault injection (crash, wedge) fires once, early in the first
+   attempt, so the retry path is exercised without livelocking the
+   session. *)
+let exec ~deadline_factor ~round_budget_us ~beat t =
   let spec = t.spec in
   let attempt = t.attempts in
-  let rng = Rng.fork (Rng.create spec.seed) attempt in
-  let protocol =
-    Scenario.make_protocol ~protocol:t.protocol ~n:spec.n ~d:spec.d
-      ~alpha:spec.alpha ~fanout:spec.fanout ()
-  in
-  let deadline =
-    Unix.gettimeofday () +. deadline_s ~deadline_factor ~round_budget_us spec
-  in
-  let on_round_end round =
+  let scenario = { spec.scenario with protocol = t.protocol } in
+  let budget = deadline_s ~deadline_factor ~round_budget_us spec in
+  let deadline = ref Float.infinity in
+  let observe round =
     beat ();
+    if round = 1 then deadline := Unix.gettimeofday () +. budget;
     if attempt = 1 && round = 2 then begin
       if spec.wedge_ms > 0. then Unix.sleepf (spec.wedge_ms /. 1e3);
       if spec.crash_worker then raise Crash_injected
     end;
     if Atomic.get t.cancel then raise (Stop Cancelled_by_client);
-    if Unix.gettimeofday () > deadline then raise (Stop Deadline_expired)
+    if Unix.gettimeofday () > !deadline then raise (Stop Deadline_expired)
   in
-  beat ();
   match
-    Engine.run ~fault:(fault_of spec) ~collect_trace:t.trace_enabled
-      ~on_round_end ~rng ~topology ~protocol
-      ~sources:[ 0 ] ()
+    Scenario.run_rep ~collect_trace:t.trace_enabled ~observe scenario
+      (Rng.fork (Rng.create scenario.seed) (attempt - 1))
   with
   | r ->
       let stats =

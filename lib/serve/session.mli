@@ -15,40 +15,40 @@
     and [attempt_token] are atomics read from worker domains. *)
 
 type spec = {
-  n : int;
-  d : int;
-  protocol : string;
-  topology : string;
-  seed : int;
-  alpha : float;
-  fanout : int;
-  link_loss : float;
-  burst_loss : float;
-  burst_len : float;
+  scenario : Rumor_cli.Scenario.t;
+      (** what to run: one repetition of this scenario ([reps] and
+          [domains] are ignored) *)
   crash_worker : bool;  (** fault injection: kill the worker domain mid-run *)
   wedge_ms : float;  (** fault injection: stall without heartbeating *)
   deadline_ms : float option;  (** per-attempt wall budget; [None] = derived *)
-  collect_trace : bool;
+  trace : bool;  (** collect the per-round trace *)
   client_ref : string option;
 }
 
 val default_spec : spec
-(** [n 4096, d 8, push-pull on implicit-regular, seed 1, no faults]. *)
-
-val protocols : string list
-val topologies : string list
+(** {!Rumor_cli.Scenario.default} with every service field off. *)
 
 val max_n : int
 (** Admission ceiling on [n] for materialised topologies ([2^20]) —
-    bounds one session's graph-cache memory. *)
+    bounds the graph one attempt samples. *)
 
 val max_implicit_n : int
 (** Admission ceiling on [n] for [implicit-*] topologies ([10^8]): no
     graph is built and packed per-node state keeps a run at bytes per
-    node, so the cap is the simulation frontier, not the cache. *)
+    node, so the cap is the simulation frontier. *)
+
+val admit : Rumor_cli.Scenario.t -> (Rumor_cli.Scenario.t, string) result
+(** The scenario language's own checks — the scenario re-read through
+    {!Rumor_cli.Scenario.to_text}, so a record built in code is
+    range-checked like a file — then the service's admission caps on
+    every key that scales one session's memory or work: [n] (by
+    topology kind), [d], [alpha], [fanout] and [burst_len] at most 64,
+    [loss] at most 0.9, [burst_loss] at most 0.5, [churn_rate] at most
+    1, [max_epochs] at most 64, [repair_backoff] at most 1024. *)
 
 val validate_spec : spec -> (spec, string) result
-(** Range-check every field (the wire is hostile input). *)
+(** {!admit} on the scenario plus range checks on the service fields
+    (the wire is hostile input). *)
 
 type outcome = Completed | Failed of string | Shed | Cancelled
 
@@ -96,7 +96,8 @@ val deadline_s :
   deadline_factor:float -> round_budget_us:float -> spec -> float
 (** The per-attempt wall budget in seconds: the spec's explicit
     [deadline_ms] if given, else [factor * ceil_log2 n *
-    round_budget_us]. *)
+    round_budget_us]. The budget runs from the attempt's first round;
+    sampling the graph before it is not charged. *)
 
 type attempt_outcome =
   | Finished of run_stats * bool  (** stats, success (all live informed) *)
@@ -109,15 +110,19 @@ exception Crash_injected
     failover + restart path runs. *)
 
 val exec :
-  topology:Rumor_sim.Topology.t ->
   deadline_factor:float ->
   round_budget_us:float ->
   beat:(unit -> unit) ->
   t ->
   attempt_outcome
-(** Run one attempt. [topology] must be read-only for the duration (the
-    service's cache guarantees it); [beat] is called once per round so
-    the watchdog can distinguish slow from wedged. Attempt [k] uses
-    stream [fork spec.seed k], so a retried session is a fresh
-    independent run, reproducible from the spec alone.
+(** Run one attempt: exactly [Scenario.run_rep ~observe scenario
+    (Rng.fork (Rng.create seed) (k - 1))] for attempt [k] (the
+    scenario's protocol replaced by the session's effective one, which
+    shedding may have downgraded), so attempt [k] is rep [k - 1] of
+    [Scenario.run] and a retried session is a fresh independent run,
+    reproducible from the spec alone. The graph is sampled inside the
+    attempt. [observe] calls [beat] once per round — the watchdog's
+    evidence that the worker is slow, not wedged — and raises to
+    cancel or to end an attempt past its deadline; both clocks start
+    at the first round.
     @raise Crash_injected when the spec asks for it (first attempt). *)

@@ -5,8 +5,10 @@
    is ignored, its in-flight session failed over to the pool, and a
    replacement spawned in its slot. The watchdog tells wedged from
    merely slow by heartbeat staleness: workers beat once per simulated
-   round, and only a *busy* worker can be stale (an idle worker blocked
-   on the mailbox has nothing to beat about and nothing to wedge on).
+   round, and only a *busy* worker that has beaten in its current
+   attempt can be stale (an idle worker blocked on the mailbox has
+   nothing to beat about, and an attempt still sampling its graph has
+   not reached a round yet).
 
    Crashes are simpler: the domain body catches everything, so a crash
    leaves [exited] set with [busy] still holding the session — the scan
@@ -66,8 +68,12 @@ let worker_body t w () =
       match Mailbox.take t.mailbox with
       | None -> ()
       | Some s ->
+          (* Staleness starts at the attempt's first beat, its first
+             round: setup (graph sampling) beats nothing and is not a
+             wedge. Disarm before publishing [busy], so the scan never
+             pairs this session with the previous one's last beat. *)
+          Atomic.set w.beat_at Float.infinity;
           Atomic.set w.busy (Some s);
-          beat ();
           t.handle ~beat s;
           Atomic.set w.busy None;
           loop ()

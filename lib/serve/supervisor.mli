@@ -13,7 +13,10 @@
       zombie's eventual output is discarded via the session's stale
       attempt token. Detection is by heartbeat staleness — workers beat
       once per simulated round, and only a busy worker is ever judged
-      (an idle worker blocked on the mailbox cannot wedge).
+      (an idle worker blocked on the mailbox cannot wedge). Staleness
+      starts at an attempt's first beat: the setup before round 1
+      (graph sampling, seconds at [n = 2^20]) is never judged, so a
+      worker that wedges there is not deposed.
 
     Respawns pass through a restart-intensity circuit breaker: more
     than [max_restarts] inside [restart_window_s] opens the breaker and
@@ -53,7 +56,8 @@ val create :
   unit ->
   t
 (** Spawn the initial pool. [handle] runs one session attempt and must
-    call [beat] regularly (once per round); it may let
+    call [beat] regularly (once per round) from its first round on; it
+    may let
     {!Session.Crash_injected} escape — that is the crash-injection
     path. [on_failover] receives the in-flight session of a dead or
     deposed worker (called with the pool mutex held; must not call back

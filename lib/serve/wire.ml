@@ -1,12 +1,14 @@
 module Json = Rumor_obs.Json
+module Scenario = Rumor_cli.Scenario
 
 (* NDJSON line protocol: one JSON object per line, both directions.
    This is the hostile boundary of the service, so parsing is strict —
    bounded nesting depth (well under [Json.default_max_depth]; a
-   protocol object is depth 2), whitelisted ops and fields, and every
-   numeric range checked by [Session.validate_spec] before a session is
-   built. Unknown fields are rejected rather than ignored: a client
-   that misspells [burst_loss] should learn now, not in production. *)
+   protocol object is depth 2), whitelisted ops, scenario keys checked
+   by the scenario language itself and every value range-checked by
+   [Session.validate_spec] before a session is built. Unknown fields
+   are rejected rather than ignored: a client that misspells
+   [burst_loss] should learn now, not in production. *)
 
 let max_depth = 32
 
@@ -43,10 +45,6 @@ let as_float name = function
   | Json.Float f -> Ok f
   | _ -> Error (Printf.sprintf "field %S must be a number" name)
 
-let as_int name = function
-  | Json.Int i -> Ok i
-  | _ -> Error (Printf.sprintf "field %S must be an integer" name)
-
 let as_bool name = function
   | Json.Bool b -> Ok b
   | _ -> Error (Printf.sprintf "field %S must be a boolean" name)
@@ -60,31 +58,49 @@ let opt fs name conv ~default =
   | None | Some Json.Null -> Ok default
   | Some v -> conv name v
 
-let submit_fields =
-  [
-    "op"; "n"; "d"; "protocol"; "topology"; "seed"; "alpha"; "fanout";
-    "link_loss"; "burst_loss"; "burst_len"; "crash_worker"; "wedge_ms";
-    "deadline_ms"; "trace"; "ref"; "notify";
-  ]
+(* A submit is a scenario file in JSON form: every field that is not a
+   service field is a scenario key, assigned through [Scenario.set_key]
+   over [Scenario.default] exactly as a file line would be. A session
+   is one repetition, so the replication keys are refused. *)
+let service_fields =
+  [ "op"; "crash_worker"; "wedge_ms"; "deadline_ms"; "trace"; "ref"; "notify" ]
 
-let check_known fs allowed =
-  match List.find_opt (fun (k, _) -> not (List.mem k allowed)) fs with
-  | Some (k, _) -> Error (Printf.sprintf "unknown field %S" k)
-  | None -> Ok ()
+let replication_keys = [ "reps"; "domains" ]
+
+let scenario_value name = function
+  | Json.Int i -> Ok (string_of_int i)
+  | Json.Float f -> Ok (Printf.sprintf "%.17g" f)
+  | Json.String s -> Ok s
+  | Json.Bool b -> Ok (string_of_bool b)
+  | _ -> Error (Printf.sprintf "field %S must be a scalar" name)
 
 let parse_submit fs =
+  (* One pass, linear in the field count: a 1 MiB line can carry 10^5
+     fields. *)
+  let seen = Hashtbl.create 16 in
+  let* scenario =
+    List.fold_left
+      (fun acc (key, v) ->
+        let* s = acc in
+        if Hashtbl.mem seen key then
+          Error (Printf.sprintf "duplicate field %S" key)
+        else begin
+          Hashtbl.add seen key ();
+          match v with
+          | Json.Null -> Ok s
+          | _ when List.mem key service_fields -> Ok s
+          | _ when List.mem key replication_keys ->
+              Error
+                (Printf.sprintf "field %S: a session runs one repetition" key)
+          | _ ->
+              let* value = scenario_value key v in
+              Result.map_error
+                (fun e -> Printf.sprintf "field %S: %s" key e)
+                (Scenario.set_key s ~key ~value)
+        end)
+      (Ok Scenario.default) fs
+  in
   let d = Session.default_spec in
-  let* () = check_known fs submit_fields in
-  let* n = opt fs "n" as_int ~default:d.Session.n in
-  let* dd = opt fs "d" as_int ~default:d.Session.d in
-  let* protocol = opt fs "protocol" as_string ~default:d.Session.protocol in
-  let* topology = opt fs "topology" as_string ~default:d.Session.topology in
-  let* seed = opt fs "seed" as_int ~default:d.Session.seed in
-  let* alpha = opt fs "alpha" as_float ~default:d.Session.alpha in
-  let* fanout = opt fs "fanout" as_int ~default:d.Session.fanout in
-  let* link_loss = opt fs "link_loss" as_float ~default:d.Session.link_loss in
-  let* burst_loss = opt fs "burst_loss" as_float ~default:d.Session.burst_loss in
-  let* burst_len = opt fs "burst_len" as_float ~default:d.Session.burst_len in
   let* crash_worker =
     opt fs "crash_worker" as_bool ~default:d.Session.crash_worker
   in
@@ -96,7 +112,7 @@ let parse_submit fs =
         let* f = as_float "deadline_ms" v in
         Ok (Some f)
   in
-  let* collect_trace = opt fs "trace" as_bool ~default:false in
+  let* trace = opt fs "trace" as_bool ~default:false in
   let* client_ref =
     match field fs "ref" with
     | None | Some Json.Null -> Ok None
@@ -106,30 +122,34 @@ let parse_submit fs =
         else Ok (Some r)
   in
   let* notify = opt fs "notify" as_bool ~default:false in
-  let spec =
-    {
-      Session.n;
-      d = dd;
-      protocol;
-      topology;
-      seed;
-      alpha;
-      fanout;
-      link_loss;
-      burst_loss;
-      burst_len;
-      crash_worker;
-      wedge_ms;
-      deadline_ms;
-      collect_trace;
-      client_ref;
-    }
+  let* spec =
+    Session.validate_spec
+      { Session.scenario; crash_worker; wedge_ms; deadline_ms; trace; client_ref }
   in
-  let* spec = Session.validate_spec spec in
   Ok (Submit (spec, notify))
 
+(* The inverse of the scenario half of [parse_submit]: the scenario's
+   own rendering, one JSON field per key, numbers typed as numbers. *)
+let scenario_fields s =
+  let json_of v =
+    match int_of_string_opt v with
+    | Some i -> Json.Int i
+    | None -> (
+        match float_of_string_opt v with
+        | Some f -> Json.Float f
+        | None -> Json.String v)
+  in
+  List.filter_map
+    (fun (k, v) ->
+      if List.mem k replication_keys then None else Some (k, json_of v))
+    (Scenario.bindings s)
+
 let parse_id fs op =
-  let* () = check_known fs [ "op"; "id" ] in
+  let* () =
+    match List.find_opt (fun (k, _) -> k <> "op" && k <> "id") fs with
+    | Some (k, _) -> Error (Printf.sprintf "unknown field %S" k)
+    | None -> Ok ()
+  in
   match field fs "id" with
   | Some (Json.String s) -> (
       match id_of_string s with

@@ -1,12 +1,18 @@
 (** NDJSON wire codec for [rumor serve] — one JSON object per line.
 
-    Requests: [submit] (spec fields + [notify]), [poll]/[cancel] (by
-    [id]), [stats], [shutdown], [ping]. This is the hostile boundary:
-    parsing caps nesting depth, whitelists ops {e and} fields (a
-    misspelled field is an error, not silently ignored), and range
-    checks every spec value via {!Session.validate_spec}. The codec is
-    pure — framing (line splitting, length caps) lives in
-    {!Server}. *)
+    Requests: [submit], [poll]/[cancel] (by [id]), [stats],
+    [shutdown], [ping]. A submit is a scenario file in JSON form: the
+    service fields [crash_worker], [wedge_ms], [deadline_ms], [trace],
+    [ref] and [notify], and every other field a scenario key, assigned
+    with {!Rumor_cli.Scenario.set_key} over
+    {!Rumor_cli.Scenario.default} — same names, same defaults, same
+    range checks. [reps] and [domains] are refused: a session is one
+    repetition. This is the hostile boundary: parsing caps nesting
+    depth, whitelists ops, rejects unknown keys and duplicate fields
+    (a misspelled field is an error, not silently ignored), and
+    applies the service's admission caps via
+    {!Session.validate_spec}. The codec is pure — framing (line
+    splitting, length caps) lives in {!Server}. *)
 
 type request =
   | Submit of Session.spec * bool  (** spec, notify *)
@@ -26,6 +32,11 @@ val id_to_string : int -> string
 val id_of_string : string -> int option
 
 val parse_request : string -> (request, string) result
+
+val scenario_fields : Rumor_cli.Scenario.t -> (string * Rumor_obs.Json.t) list
+(** A scenario as submit fields: {!Rumor_cli.Scenario.bindings} minus
+    [reps]/[domains], numbers as JSON numbers. A submit carrying these
+    fields parses back to the same scenario, up to [reps]/[domains]. *)
 
 (** {2 Response encoders} *)
 

@@ -64,8 +64,8 @@ let of_kernel ~repair (k : Kernel.result) =
   }
 
 let run ?(fault = Fault.none) ?collect_trace ?stop_when_complete ?gate
-    ?forget_on_recover ?reset ?on_round_end ?skew ?monitor ?packed ~rng
-    ~topology ~protocol ~sources () =
+    ?forget_on_recover ?reset ?on_round_end ?observe ?skew ?monitor ?packed
+    ~rng ~topology ~protocol ~sources () =
   validate ~where:"Engine.run" ~topology sources;
   let protocol =
     match stop_when_complete with
@@ -74,7 +74,7 @@ let run ?(fault = Fault.none) ?collect_trace ?stop_when_complete ?gate
   in
   of_kernel ~repair:[]
     (Kernel.run ~fault ?collect_trace ?gate ?forget_on_recover ?reset
-       ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol
+       ?on_round_end ?observe ?skew ?monitor ?packed ~rng ~topology ~protocol
        ~tables:[| { Kernel.sources; created = 0 } |]
        ())
 
@@ -84,15 +84,12 @@ type 'st epoch_plan = 'st Kernel.epoch_plan = {
 }
 
 let run_epochs ?fault ?collect_trace ?forget_on_recover ?reset ?on_round_end
-    ?skew ?(max_epochs = 8) ?monitor ?packed ~rng ~topology ~protocol ~repair
-    ~sources () =
-  if max_epochs < 0 then invalid_arg "Engine.run_epochs: max_epochs < 0";
-  validate ~where:"Engine.run" ~topology sources;
+    ?observe ?skew ?max_epochs ?monitor ?packed ~rng ~topology ~protocol
+    ~repair ~sources () =
+  validate ~where:"Engine.run_epochs" ~topology sources;
   let k, stats =
     Kernel.run_epochs ?fault ?collect_trace ?forget_on_recover ?reset
-      ?on_round_end ?skew ~max_epochs ?monitor ?packed ~rng ~topology ~protocol
-      ~repair:(fun ~epoch ~knows -> repair ~epoch ~knows:knows.(0))
-      ~tables:[| { Kernel.sources; created = 0 } |]
-      ()
+      ?on_round_end ?observe ?skew ?max_epochs ?monitor ?packed ~rng ~topology
+      ~protocol ~repair ~sources ()
   in
   of_kernel ~repair:stats k

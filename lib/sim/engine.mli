@@ -80,6 +80,7 @@ val run :
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
+  ?observe:(int -> unit) ->
   ?skew:(int -> int) ->
   ?monitor:Invariant.t ->
   ?packed:bool ->
@@ -99,6 +100,14 @@ val run :
     protocol's field for this run. [on_round_end] fires
     after each round and may mutate the topology (churn) but must not
     change [capacity]; newly appearing node ids start uninformed.
+
+    [observe] is the read-only round hook: it fires with the round
+    number at the very end of every round, after the stopping decision,
+    so it fires exactly [rounds] times. It may raise to abort the run
+    (the service's heartbeat, cancellation and deadline do), but it
+    must not mutate the topology — unlike [on_round_end] it keeps the
+    incremental census. It draws nothing, so installing it never moves
+    a trajectory.
 
     [fault] is a full {!Fault.t} plan, ticked at the start of every
     round: burst (Gilbert–Elliott) chains advance, nodes crash and
@@ -164,6 +173,7 @@ val run_epochs :
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
+  ?observe:(int -> unit) ->
   ?skew:(int -> int) ->
   ?max_epochs:int ->
   ?monitor:Invariant.t ->
@@ -177,7 +187,8 @@ val run_epochs :
   result
 (** [run_epochs ~rng ~topology ~protocol ~repair ~sources ()] runs the
     main broadcast schedule once ({!run}, forwarding [fault],
-    [collect_trace], [forget_on_recover], [on_round_end] and [skew]),
+    [collect_trace], [forget_on_recover], [on_round_end], [observe] and
+    [skew]),
     ([reset], like [on_round_end], applies to the main run only), then
     — while some live node is uninformed and at most [max_epochs]
     (default 8) times — asks [repair ~epoch ~knows] for a fresh
@@ -205,6 +216,8 @@ val run_epochs :
 
     Churn note: [on_round_end] only fires inside the main run; repair
     epochs execute on the topology as it stands, so harnesses that
-    churn the overlay should do so from the main schedule.
+    churn the overlay should do so from the main schedule. [observe]
+    fires in both, once per round, numbered across the whole run, so
+    it fires exactly [rounds] times.
     @raise Invalid_argument if [max_epochs < 0] or [sources] is invalid
     for {!run}. *)

@@ -114,7 +114,7 @@ type tstate = {
 }
 
 let run ?(fault = Fault.none) ?(collect_trace = false) ?gate
-    ?(forget_on_recover = false) ?reset ?on_round_end ?skew ?monitor
+    ?(forget_on_recover = false) ?reset ?on_round_end ?observe ?skew ?monitor
     ?(packed = true) ~rng ~topology ~protocol ~tables () =
   let open Topology in
   let open Protocol in
@@ -615,7 +615,8 @@ let run ?(fault = Fault.none) ?(collect_trace = false) ?gate
         if tbs.(j).completion = None then all := false
       done;
       if !all then stop := true
-    end
+    end;
+    (match observe with Some f -> f r | None -> ())
   done;
   (* Final counts. The incremental census already holds them — the
      invariant the differential tests pin — so only the crashed-id list
@@ -679,42 +680,36 @@ type 'st epoch_plan = {
 }
 
 let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
-    ?(forget_on_recover = false) ?reset ?on_round_end ?skew ?(max_epochs = 8)
-    ?monitor ?packed ~rng ~topology ~protocol ~repair ~tables () =
+    ?(forget_on_recover = false) ?reset ?on_round_end ?observe ?skew
+    ?(max_epochs = 8) ?monitor ?packed ~rng ~topology ~protocol ~repair
+    ~sources () =
   if max_epochs < 0 then invalid_arg "Kernel.run_epochs: max_epochs < 0";
   let main =
-    run ~fault ~collect_trace ~forget_on_recover ?reset
-      ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol ~tables ()
+    run ~fault ~collect_trace ~forget_on_recover ?reset ?on_round_end ?observe
+      ?skew ?monitor ?packed ~rng ~topology ~protocol
+      ~tables:[| { sources; created = 0 } |]
+      ()
   in
   let cap = topology.Topology.capacity in
-  let nt = Array.length tables in
-  let knows = Array.init nt (fun j -> Bitset.copy main.tables.(j).knows) in
+  let knows = Bitset.copy main.tables.(0).knows in
   (* Nodes still down when a run stops would come back up under the next
      epoch's fresh fault runtime; with amnesia their knowledge is gone. *)
   let forget_down r =
-    if forget_on_recover then
-      List.iter
-        (fun v ->
-          for j = 0 to nt - 1 do
-            Bitset.clear knows.(j) v
-          done)
-        r.down
+    if forget_on_recover then List.iter (Bitset.clear knows) r.down
   in
   forget_down main;
   let live_census () =
-    let live = ref 0 and know = Array.make nt 0 in
+    let live = ref 0 and know = ref 0 in
     for v = 0 to cap - 1 do
       if topology.Topology.alive v then begin
         incr live;
-        for j = 0 to nt - 1 do
-          if Bitset.get knows.(j) v then know.(j) <- know.(j) + 1
-        done
+        if Bitset.get knows v then incr know
       end
     done;
-    (!live, know)
+    (!live, !know)
   in
-  let acc_push = Array.map (fun (t : table_result) -> t.push_tx) main.tables in
-  let acc_pull = Array.map (fun (t : table_result) -> t.pull_tx) main.tables in
+  let push = ref main.tables.(0).push_tx in
+  let pull = ref main.tables.(0).pull_tx in
   let stats = ref [] in
   let rounds = ref main.rounds in
   let chans = ref main.channels in
@@ -723,26 +718,17 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
   let continue = ref true in
   while !continue && !epoch < max_epochs do
     let live, know = live_census () in
-    (* A table is repairable when it still has both a live knower to
-       pull from and a live non-knower to reach; with none left —
-       covered, extinct, or an empty network — the loop is done. *)
-    let repairable = ref false in
-    if live > 0 then
-      for j = 0 to nt - 1 do
-        if know.(j) > 0 && know.(j) < live then repairable := true
-      done;
-    if not !repairable then continue := false
+    (* Repairable while there is both a live knower to pull from and a
+       live non-knower to reach; with none left — covered, extinct, or
+       an empty network — the loop is done. *)
+    if not (know > 0 && know < live) then continue := false
     else begin
       incr epoch;
-      let especs =
-        Array.init nt (fun j ->
-            let srcs = ref [] in
-            for v = cap - 1 downto 0 do
-              if topology.Topology.alive v && Bitset.get knows.(j) v then
-                srcs := v :: !srcs
-            done;
-            { sources = !srcs; created = 0 })
-      in
+      let srcs = ref [] in
+      for v = cap - 1 downto 0 do
+        if topology.Topology.alive v && Bitset.get knows v then
+          srcs := v :: !srcs
+      done;
       let plan = repair ~epoch:!epoch ~knows in
       (* Epochs fight the channel, not the reaper: communication faults
          (loss, call failure, bursts) stay on, while the node-dynamics
@@ -750,10 +736,15 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
          otherwise perpetual mid-repair amnesia makes the total-coverage
          target unreachable by construction. *)
       let epoch_fault = { fault with Fault.crash_rate = 0.; strike = None } in
+      (* The observer sees one round count across the whole run: epoch
+         rounds continue the main schedule's numbering. *)
+      let offset = !rounds in
       let r =
         run ~fault:epoch_fault ~forget_on_recover ~gate:plan.epoch_gate
+          ?observe:(Option.map (fun f r -> f (offset + r)) observe)
           ?monitor ?packed ~rng ~topology ~protocol:plan.epoch_protocol
-          ~tables:especs ()
+          ~tables:[| { sources = !srcs; created = 0 } |]
+          ()
       in
       (match monitor with
       | None -> ()
@@ -770,26 +761,19 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
                    !epoch r.rounds plan.epoch_protocol.Protocol.horizon));
       (* The epoch restarted from every knower, so its final flags are
          the current truth (amnesia included): replace, don't merge. *)
-      let epoch_push = ref 0 and epoch_pull = ref 0 in
-      let epoch_informed = ref max_int in
-      for j = 0 to nt - 1 do
-        let t = r.tables.(j) in
-        Bitset.blit ~src:t.knows ~dst:knows.(j);
-        acc_push.(j) <- acc_push.(j) + t.push_tx;
-        acc_pull.(j) <- acc_pull.(j) + t.pull_tx;
-        epoch_push := !epoch_push + t.push_tx;
-        epoch_pull := !epoch_pull + t.pull_tx;
-        if t.informed < !epoch_informed then epoch_informed := t.informed
-      done;
+      let t = r.tables.(0) in
+      Bitset.blit ~src:t.knows ~dst:knows;
+      push := !push + t.push_tx;
+      pull := !pull + t.pull_tx;
       forget_down r;
       stats :=
         {
           epoch = !epoch;
           epoch_rounds = r.rounds;
-          epoch_informed = !epoch_informed;
+          epoch_informed = t.informed;
           epoch_population = r.population;
-          repair_push_tx = !epoch_push;
-          repair_pull_tx = !epoch_pull;
+          repair_push_tx = t.push_tx;
+          repair_pull_tx = t.pull_tx;
           repair_channels = r.channels;
         }
         :: !stats;
@@ -806,14 +790,15 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
       down = !down;
       trace = main.trace;
       tables =
-        Array.init nt (fun j ->
-            {
-              completion_round = main.tables.(j).completion_round;
-              informed = know.(j);
-              push_tx = acc_push.(j);
-              pull_tx = acc_pull.(j);
-              knows = knows.(j);
-            });
+        [|
+          {
+            completion_round = main.tables.(0).completion_round;
+            informed = know;
+            push_tx = !push;
+            pull_tx = !pull;
+            knows;
+          };
+        |];
     },
     List.rev !stats )
 

@@ -143,6 +143,7 @@ val run :
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
+  ?observe:(int -> unit) ->
   ?skew:(int -> int) ->
   ?monitor:Invariant.t ->
   ?packed:bool ->
@@ -160,8 +161,9 @@ val run :
     [fault] (default {!Fault.none}) drives a fresh {!Fault.runtime},
     ticked at the start of every round: Gilbert–Elliott bursts,
     crash/recovery, strikes and partitions apply. [gate], [skew],
-    [forget_on_recover], [reset] and [on_round_end] behave as
-    documented on {!Engine.run}; they apply uniformly to every table.
+    [forget_on_recover], [reset], [on_round_end] and [observe] behave
+    as documented on {!Engine.run}; they apply uniformly to every
+    table.
     [reset] ids and recovery amnesia clear {e every} table's flag for
     the node (a wiped node lost all rumors). [monitor] installs the
     runtime invariant monitor ({!Invariant}): every check is recomputed
@@ -177,14 +179,13 @@ val run :
 
 (** {1 Repair epochs}
 
-    The self-healing loop of {!Engine.run_epochs}, generalised to any
-    table set. *)
+    The self-healing loop of {!Engine.run_epochs}: one rumor, its main
+    schedule, then repair epochs. *)
 
 type epoch_stat = {
   epoch : int;  (** 1-based repair epoch index *)
   epoch_rounds : int;  (** rounds the epoch executed *)
-  epoch_informed : int;
-      (** live nodes informed of {e every} table at the epoch's end *)
+  epoch_informed : int;  (** informed live nodes at the epoch's end *)
   epoch_population : int;  (** live nodes at the epoch's end *)
   repair_push_tx : int;  (** push transmissions spent by the epoch *)
   repair_pull_tx : int;  (** pull transmissions spent by the epoch *)
@@ -209,6 +210,7 @@ val run_epochs :
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
+  ?observe:(int -> unit) ->
   ?skew:(int -> int) ->
   ?max_epochs:int ->
   ?monitor:Invariant.t ->
@@ -216,22 +218,24 @@ val run_epochs :
   rng:Rumor_rng.Rng.t ->
   topology:Topology.t ->
   protocol:'st Protocol.t ->
-  repair:(epoch:int -> knows:Bitset.t array -> 'r epoch_plan) ->
-  tables:table array ->
+  repair:(epoch:int -> knows:Bitset.t -> 'r epoch_plan) ->
+  sources:int list ->
   unit ->
   result * epoch_stat list
-(** Run the main schedule once under [fault], then — while some
-    table has a live knower and a live non-knower, and at most
-    [max_epochs] (default 8) times — ask [repair ~epoch ~knows] (one
-    [knows] bitset per table) for a fresh {!epoch_plan} and re-run the
-    kernel with every current knower of each table as that table's
-    sources and the plan's gate installed. Epochs keep the plan's
-    communication modes but drop [crash_rate] / [strike]; see
-    {!Engine.run_epochs} for the rationale, churn note and accounting.
-    The returned result aggregates rounds / transmissions / channels
-    across the main run and all epochs; [completion_round] per table is
-    the {e main} run's.
-    @raise Invalid_argument if [max_epochs < 0] or [tables] is empty. *)
+(** Run the main schedule of one rumor from [sources] once under
+    [fault], then — while there is both a live knower and a live
+    non-knower, and at most [max_epochs] (default 8) times — ask
+    [repair ~epoch ~knows] for a fresh {!epoch_plan} and re-run the
+    kernel with every current knower as a source and the plan's gate
+    installed. Epochs keep the plan's communication modes but drop
+    [crash_rate] / [strike]; see {!Engine.run_epochs} for the
+    rationale, churn note and accounting. [observe] fires after every
+    round of the main schedule and of every epoch, with one round count
+    across the whole run (epoch rounds continue the main schedule's
+    numbering). The returned result has one table; it aggregates rounds
+    / transmissions / channels across the main run and all epochs, and
+    its [completion_round] is the {e main} run's.
+    @raise Invalid_argument if [max_epochs < 0]. *)
 
 (** {1 Asynchronous driver} *)
 

@@ -429,13 +429,146 @@ let test_scenario_text_roundtrip () =
   let rng = Rng.create 23 in
   for _ = 1 to 20 do
     let s = Chaos.sample rng in
-    match Scenario.parse (Chaos.scenario_text s) with
+    match Scenario.parse (Scenario.to_text s) with
     | Ok s' ->
         if s' <> s then
-          Alcotest.failf "scenario_text round-trip changed:\n%s"
-            (Chaos.scenario_text s)
-    | Error e -> Alcotest.failf "scenario_text does not re-parse: %s" e
+          Alcotest.failf "to_text round-trip changed:\n%s" (Scenario.to_text s)
+    | Error e -> Alcotest.failf "to_text does not re-parse: %s" e
   done
+
+(* Every key off its default: churn_rate excludes join_prob/leave_prob,
+   so two scenarios share the work, and together they must move every
+   key the renderer knows. *)
+let test_to_text_every_key () =
+  let a =
+    {
+      Scenario.seed = 5;
+      n = 600;
+      d = 6;
+      topology = "gnp";
+      protocol = "push";
+      alpha = 1.5;
+      fanout = 3;
+      loss = 0.05;
+      call_failure = 0.02;
+      burst_loss = 0.1;
+      burst_len = 3.5;
+      crash_rate = 0.01;
+      recover_rate = 0.2;
+      crash_adversary = "degree";
+      crash_count = 4;
+      crash_round = 3;
+      strike_every = 2;
+      partition_round = 3;
+      heal_round = 7;
+      partition_fraction = 0.3;
+      join_prob = 0.1;
+      leave_prob = 0.15;
+      churn_rate = -1.;
+      n_error = 2.5;
+      repair_timeout = 3;
+      repair_backoff = 16;
+      max_epochs = 2;
+      source = "first";
+      reps = 2;
+      domains = 1;
+      packed = false;
+    }
+  in
+  let b = { a with join_prob = 0.; leave_prob = 0.; churn_rate = 0.01 } in
+  List.iter
+    (fun s ->
+      match Scenario.parse (Scenario.to_text s) with
+      | Ok s' ->
+          if s' <> s then
+            Alcotest.failf "to_text round-trip changed:\n%s"
+              (Scenario.to_text s)
+      | Error e -> Alcotest.failf "to_text does not re-parse: %s" e)
+    [ a; b ];
+  let defaults = Scenario.bindings Scenario.default in
+  let moved s =
+    List.filter
+      (fun (k, v) -> List.assoc_opt k defaults <> Some v)
+      (Scenario.bindings s)
+    |> List.map fst
+  in
+  let all_keys =
+    List.sort_uniq compare
+      (List.map fst (Scenario.bindings a @ Scenario.bindings b))
+  in
+  Alcotest.(check (list string))
+    "every key set off its default" all_keys
+    (List.sort_uniq compare (moved a @ moved b));
+  Alcotest.(check bool) "churn_rate rendered when set" true
+    (List.mem "churn_rate" all_keys)
+
+(* Pinning a churn_rate scenario and replaying the artifact must give
+   the pinned digest: the artifact has to carry churn_rate. *)
+let test_churn_pin_replays () =
+  let s =
+    scenario_exn
+      "n = 512\nd = 8\ntopology = regular\nprotocol = push\n\
+       churn_rate = 0.01\nseed = 16\n"
+  in
+  let pinned = (Chaos.run_one s).Chaos.digest in
+  Alcotest.(check string) "pinned digest" "568bed2e101ed468" pinned;
+  match Chaos.parse_artifact (Chaos.artifact ~digest:pinned s) with
+  | Error e -> Alcotest.failf "artifact does not parse: %s" e
+  | Ok (s', expect) ->
+      Alcotest.(check bool) "scenario preserved" true (s' = s);
+      Alcotest.(check string) "replay digest" expect
+        (Chaos.run_one s').Chaos.digest
+
+(* n_error * n must fit in an int: past it the estimate used to wrap
+   and be clamped to 4 without a word. *)
+let test_n_error_overflow () =
+  check_error "n = 1024\nn_error = 1e30\n" [ "n_error"; "overflow" ];
+  check_error "n_error = inf\n" [ "finite" ];
+  ignore (scenario_exn "n = 1024\nn_error = 1000\n")
+
+(* --- the read-only round observer -------------------------------- *)
+
+(* bef runs its schedule out while peers churn, so late joiners are
+   left for the repair epochs. *)
+let churn_repair =
+  "n = 512\nd = 8\ntopology = regular\nprotocol = bef\nchurn_rate = 0.02\n\
+   max_epochs = 4\nseed = 15\n"
+
+let test_observe_counts_rounds () =
+  let s = scenario_exn churn_repair in
+  let seen = ref [] in
+  let r =
+    Scenario.run_rep ~observe:(fun k -> seen := k :: !seen) s
+      (Rng.create s.Scenario.seed)
+  in
+  Alcotest.(check bool) "repair epochs ran" true (Engine.epochs_used r > 0);
+  Alcotest.(check (list int))
+    "fires once per round, numbered across the epochs"
+    (List.init r.Engine.rounds (fun i -> i + 1))
+    (List.rev !seen)
+
+let test_observe_transparent () =
+  List.iter
+    (fun (name, text, want) ->
+      let s = scenario_exn ("n = 512\nd = 8\n" ^ text) in
+      Alcotest.(check string) name want
+        (Chaos.digest_of_result
+           (Scenario.run_rep ~observe:ignore s (Rng.create s.Scenario.seed))))
+    run_rep_goldens
+
+let test_observe_aborts_in_epoch () =
+  let s = scenario_exn churn_repair in
+  let r = Scenario.run_rep s (Rng.create s.Scenario.seed) in
+  let main =
+    r.Engine.rounds
+    - List.fold_left (fun a e -> a + e.Engine.epoch_rounds) 0 r.Engine.repair
+  in
+  Alcotest.check_raises "raise in the first epoch round aborts" Exit
+    (fun () ->
+      ignore
+        (Scenario.run_rep
+           ~observe:(fun k -> if k = main + 1 then raise Exit)
+           s (Rng.create s.Scenario.seed)))
 
 let test_artifact_roundtrip () =
   let s = Chaos.sample (Rng.create 31) in
@@ -524,6 +657,17 @@ let () =
           Alcotest.test_case "new keys parse" `Quick test_scenario_new_keys;
           Alcotest.test_case "errors carry line and raw text" `Quick
             test_scenario_error_carries_raw_text;
+          Alcotest.test_case "n_error overflow rejected" `Quick
+            test_n_error_overflow;
+        ] );
+      ( "observe",
+        [
+          Alcotest.test_case "fires once per round" `Quick
+            test_observe_counts_rounds;
+          Alcotest.test_case "no-op observer keeps the goldens" `Quick
+            test_observe_transparent;
+          Alcotest.test_case "raise in a repair epoch aborts" `Quick
+            test_observe_aborts_in_epoch;
         ] );
       ( "partition-window",
         [
@@ -544,6 +688,9 @@ let () =
             test_sample_deterministic;
           Alcotest.test_case "scenario_text round-trips" `Quick
             test_scenario_text_roundtrip;
+          Alcotest.test_case "to_text covers every key" `Quick
+            test_to_text_every_key;
+          Alcotest.test_case "churn pin replays" `Quick test_churn_pin_replays;
           Alcotest.test_case "artifact round-trips" `Quick
             test_artifact_roundtrip;
           Alcotest.test_case "artifact error paths" `Quick test_artifact_errors;

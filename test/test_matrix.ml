@@ -132,9 +132,13 @@ let test_parse_errors () =
   expect_error "n = 64\r\nbogus_key = 1\r\n" [ "line 2"; "unknown key" ];
   (* service keys are invalid in kernel mode ... *)
   expect_error "rate = 50\n" [ "unknown key: rate" ];
-  (* ... and kernel-only keys are invalid in service mode *)
-  expect_error "mode = service\ncrash_rate = 0.1\n"
-    [ "not supported in service mode" ];
+  (* ... while service mode takes every scenario key (a session runs
+     the scenario), and still refuses unknown ones *)
+  Alcotest.(check (Alcotest.float 1e-9))
+    "scenario key in service mode" 0.1
+    (spec_exn "mode = service\ncrash_rate = 0.1\n").Matrix.base
+      .Scenario.crash_rate;
+  expect_error "mode = service\nbogus_key = 1\n" [ "unknown key" ];
   (* cell-level failures carry coordinates *)
   let s = spec_exn "topology = implicit-regular\nsweep n = 63, 64\n" in
   (match Matrix.cells s with

@@ -11,6 +11,10 @@ module Session = Rumor_serve.Session
 module Monitor = Rumor_serve.Monitor
 module Service = Rumor_serve.Service
 module Wire = Rumor_serve.Wire
+module Supervisor = Rumor_serve.Supervisor
+module Scenario = Rumor_cli.Scenario
+module Engine = Rumor_sim.Engine
+module Rng = Rumor_rng.Rng
 
 (* Poll for a condition with a generous timeout: service machinery is
    asynchronous (worker domains + ticker), so tests wait for effects
@@ -29,8 +33,21 @@ let wait_for ?(timeout_s = 30.) pred =
 (* Small-n spec so a session costs well under a millisecond: the
    end-to-end tests below run dozens of sessions on whatever cores the
    CI box has. *)
-let quick_spec =
-  { Session.default_spec with Session.n = 256; d = 8; seed = 11 }
+let quick_scenario =
+  {
+    Scenario.default with
+    n = 256;
+    d = 8;
+    topology = "implicit-regular";
+    protocol = "push-pull";
+    seed = 11;
+  }
+
+let quick_spec = { Session.default_spec with Session.scenario = quick_scenario }
+
+(* [quick_spec] with scenario fields changed. *)
+let with_scenario f = { quick_spec with Session.scenario = f quick_scenario }
+let seeded seed = with_scenario (fun s -> { s with seed })
 
 let test_config ?(workers = 2) ?(queue_capacity = 16) ?(retry_budget = 2)
     ?(max_restarts = 64) () =
@@ -134,7 +151,7 @@ let test_mailbox_concurrent_conservation () =
 (* --- deadline math --- *)
 
 let test_deadline_derivation () =
-  let spec = { quick_spec with Session.n = 1024; deadline_ms = None } in
+  let spec = with_scenario (fun s -> { s with n = 1024 }) in
   (* 6 * ceil_log2 1024 * 2000us = 6 * 10 * 2ms = 120ms *)
   Alcotest.(check (float 1e-9)) "derived from the round bound" 0.12
     (Session.deadline_s ~deadline_factor:6. ~round_budget_us:2000. spec);
@@ -150,7 +167,7 @@ let prop_deadline_monotone_in_n =
       let f = float_of_int factor in
       let dl n =
         Session.deadline_s ~deadline_factor:f ~round_budget_us:2000.
-          { quick_spec with Session.n; deadline_ms = None }
+          (with_scenario (fun s -> { s with n }))
       in
       let base = dl n in
       base > 0.
@@ -158,7 +175,7 @@ let prop_deadline_monotone_in_n =
       && abs_float
            (Session.deadline_s ~deadline_factor:(2. *. f)
               ~round_budget_us:2000.
-              { quick_spec with Session.n; deadline_ms = None }
+              (with_scenario (fun s -> { s with n }))
            -. (2. *. base))
          < 1e-9)
 
@@ -175,40 +192,100 @@ let test_validate_spec () =
     | Ok _ -> Alcotest.failf "expected invalid: %s" what
     | Error _ -> ()
   in
+  let sc f = with_scenario f in
   ok quick_spec;
-  bad "n too small" { quick_spec with Session.n = 1 };
+  bad "n too small" (sc (fun s -> { s with n = 3 }));
   bad "n too large (materialised)"
-    { quick_spec with Session.topology = "regular"; n = Session.max_n + 1 };
-  ok { quick_spec with Session.n = Session.max_n + 2 };
+    (sc (fun s -> { s with topology = "regular"; n = Session.max_n + 1 }));
+  ok (sc (fun s -> { s with n = Session.max_n + 2 }));
   bad "n beyond the implicit frontier"
-    { quick_spec with Session.n = Session.max_implicit_n + 2 };
-  bad "odd n on implicit-regular" { quick_spec with Session.n = 257 };
-  bad "degree" { quick_spec with Session.d = 0 };
-  bad "unknown protocol" { quick_spec with Session.protocol = "udp" };
-  bad "unknown topology" { quick_spec with Session.topology = "moebius" };
-  bad "loss > 0.9" { quick_spec with Session.link_loss = 0.95 };
-  bad "negative loss" { quick_spec with Session.link_loss = -0.1 };
+    (sc (fun s -> { s with n = Session.max_implicit_n + 2 }));
+  bad "odd n on implicit-regular" (sc (fun s -> { s with n = 257 }));
+  bad "degree" (sc (fun s -> { s with d = 0 }));
+  bad "unknown protocol" (sc (fun s -> { s with protocol = "udp" }));
+  bad "unknown topology" (sc (fun s -> { s with topology = "moebius" }));
+  bad "loss > 0.9" (sc (fun s -> { s with loss = 0.95 }));
+  bad "negative loss" (sc (fun s -> { s with loss = -0.1 }));
+  bad "non-finite alpha" (sc (fun s -> { s with alpha = Float.nan }));
   bad "deadline 0" { quick_spec with Session.deadline_ms = Some 0. };
   List.iter
-    (fun protocol -> ok { quick_spec with Session.protocol })
-    Session.protocols
+    (fun protocol -> ok (sc (fun s -> { s with protocol })))
+    Scenario.protocols
+
+(* Keys a session can newly reach scale its work; each has a cap, at
+   which a submit is still admitted and past which it is refused. *)
+let test_admission_cap key ~at ~past () =
+  let submit v =
+    Wire.parse_request
+      (Printf.sprintf
+         {|{"op":"submit","topology":"regular","n":256,"%s":%s}|} key v)
+  in
+  (match submit at with
+  | Ok (Wire.Submit _) -> ()
+  | Ok _ -> Alcotest.fail "parsed as wrong op"
+  | Error e -> Alcotest.failf "%s = %s at the cap refused: %s" key at e);
+  match submit past with
+  | Ok _ -> Alcotest.failf "%s = %s past the cap admitted" key past
+  | Error _ -> ()
 
 (* --- wire codec --- *)
 
 let test_wire_submit_round_trip () =
   let line =
-    {|{"op":"submit","n":512,"d":8,"protocol":"bef","seed":7,"link_loss":0.1,"notify":true,"ref":"abc"}|}
+    {|{"op":"submit","n":512,"d":8,"protocol":"bef","seed":7,"loss":0.1,"notify":true,"ref":"abc"}|}
   in
   match Wire.parse_request line with
   | Ok (Wire.Submit (spec, notify)) ->
-      Alcotest.(check int) "n" 512 spec.Session.n;
-      Alcotest.(check string) "protocol" "bef" spec.Session.protocol;
+      let s = spec.Session.scenario in
+      Alcotest.(check int) "n" 512 s.Scenario.n;
+      Alcotest.(check string) "protocol" "bef" s.Scenario.protocol;
       Alcotest.(check bool) "notify" true notify;
       Alcotest.(check (option string)) "ref" (Some "abc")
         spec.Session.client_ref;
-      Alcotest.(check (float 1e-9)) "loss" 0.1 spec.Session.link_loss
+      Alcotest.(check (float 1e-9)) "loss" 0.1 s.Scenario.loss;
+      (* Unnamed keys take the scenario language's defaults. *)
+      Alcotest.(check string) "default topology" Scenario.default.topology
+        s.Scenario.topology;
+      Alcotest.(check (float 0.)) "default alpha" Scenario.default.alpha
+        s.Scenario.alpha
   | Ok _ -> Alcotest.fail "parsed as wrong op"
   | Error e -> Alcotest.failf "parse failed: %s" e
+
+(* A submit is a scenario file in JSON form: the fault, churn, size
+   estimate and repair keys all reach the session, and a scenario
+   rendered as submit fields parses back to itself. *)
+let test_wire_scenario_keys () =
+  let scenario =
+    {
+      Scenario.default with
+      n = 512;
+      topology = "regular";
+      protocol = "push";
+      seed = 99;
+      loss = 0.05;
+      crash_adversary = "frontier";
+      crash_count = 3;
+      crash_round = 2;
+      partition_round = 2;
+      heal_round = 5;
+      churn_rate = 0.01;
+      n_error = 2.5;
+      max_epochs = 3;
+      source = "first";
+    }
+  in
+  let line =
+    Wire.to_line
+      (Rumor_obs.Json.Obj
+         (("op", Rumor_obs.Json.String "submit")
+         :: Wire.scenario_fields scenario))
+  in
+  match Wire.parse_request (String.trim line) with
+  | Ok (Wire.Submit (spec, _)) ->
+      if spec.Session.scenario <> scenario then
+        Alcotest.failf "scenario changed on the wire: %s" line
+  | Ok _ -> Alcotest.fail "parsed as wrong op"
+  | Error e -> Alcotest.failf "parse failed: %s (%s)" e line
 
 let test_wire_ops () =
   (match Wire.parse_request {|{"op":"poll","id":"s-42"}|} with
@@ -243,6 +320,13 @@ let test_wire_hostile_input () =
   rejects "bad id shape" {|{"op":"poll","id":"42"}|};
   rejects "negative id" {|{"op":"poll","id":"s--3"}|};
   rejects "out-of-range spec" {|{"op":"submit","n":3}|};
+  rejects "old field name" {|{"op":"submit","link_loss":0.1}|};
+  rejects "reps: a session is one repetition" {|{"op":"submit","reps":3}|};
+  rejects "domains" {|{"op":"submit","domains":2}|};
+  rejects "duplicate field" {|{"op":"submit","n":512,"n":1024}|};
+  rejects "non-scalar value" {|{"op":"submit","n":[512]}|};
+  rejects "cross-key check"
+    {|{"op":"submit","partition_round":5,"heal_round":3}|};
   rejects "deep nesting capped"
     (String.concat "" (List.init 64 (fun _ -> "[")));
   (* id codec round trip *)
@@ -300,7 +384,7 @@ let test_service_completes_sessions () =
   with_service (fun svc ->
       let sessions =
         List.init 12 (fun k ->
-            submit_ok svc { quick_spec with Session.seed = 100 + k })
+            submit_ok svc (seeded (100 + k)))
       in
       Alcotest.(check bool) "all reach a terminal state" true
         (wait_for (fun () -> List.for_all Session.is_terminal sessions));
@@ -328,7 +412,7 @@ let test_service_on_terminal_fires_once () =
     (fun svc ->
       let sessions =
         List.init 6 (fun k ->
-            submit_ok svc { quick_spec with Session.seed = 300 + k })
+            submit_ok svc (seeded (300 + k)))
       in
       Alcotest.(check bool) "terminal" true
         (wait_for (fun () -> List.for_all Session.is_terminal sessions));
@@ -340,15 +424,16 @@ let test_service_on_terminal_fires_once () =
    schedule out (quiescing after phase 3 when nobody is active in
    phase 4) instead of stopping at the first fully-informed round. *)
 let test_service_bef_runs_schedule_out () =
-  let spec = { quick_spec with Session.protocol = "bef"; seed = 5 } in
+  let spec = with_scenario (fun s -> { s with protocol = "bef"; seed = 5 }) in
   with_service (fun svc ->
       let s = submit_ok svc spec in
       Alcotest.(check bool) "terminal" true
         (wait_for (fun () -> Session.is_terminal s));
+      let sc = spec.Session.scenario in
       let params =
-        Rumor_core.Params.make ~alpha:spec.Session.alpha
-          ~fanout:spec.Session.fanout ~n_estimate:spec.Session.n
-          ~d:spec.Session.d ()
+        Rumor_core.Params.make ~alpha:sc.Scenario.alpha
+          ~fanout:sc.Scenario.fanout ~n_estimate:sc.Scenario.n
+          ~d:sc.Scenario.d ()
       in
       let sched = Rumor_core.Algorithm.schedule_of params None in
       match s.Session.stats with
@@ -422,7 +507,7 @@ let test_service_overload_rejects () =
 
 let test_service_invalid_spec_rejected () =
   with_service (fun svc ->
-      match Service.submit svc { quick_spec with Session.n = 3 } with
+      match Service.submit svc (with_scenario (fun s -> { s with n = 3 })) with
       | Service.Rejected { retry_after_ms; _ } ->
           Alcotest.(check (float 1e-9)) "permanent: no retry hint" 0.
             retry_after_ms
@@ -467,10 +552,10 @@ let test_service_shedding_tiers () =
         List.init 5 (fun k ->
             submit_ok svc
               {
-                quick_spec with
-                Session.seed = 500 + k;
-                protocol = "bef";
-                collect_trace = true;
+                (with_scenario (fun s ->
+                     { s with seed = 500 + k; protocol = "bef" }))
+                with
+                Session.trace = true;
               })
       in
       Alcotest.(check bool) "tier escalated" true (Service.tier svc >= 2);
@@ -497,10 +582,8 @@ let test_service_exact_retry_budget () =
   with_service ~config (fun svc ->
       let spec =
         {
-          quick_spec with
-          Session.n = 16384;
-          seed = 77;
-          deadline_ms = Some 1.;
+          (with_scenario (fun s -> { s with n = 16384; seed = 77 })) with
+          Session.deadline_ms = Some 1.;
         }
       in
       let s = submit_ok svc spec in
@@ -521,7 +604,7 @@ let test_service_shutdown_clean () =
   let svc = Service.create (test_config ()) in
   let sessions =
     List.init 8 (fun k ->
-        submit_ok svc { quick_spec with Session.seed = 700 + k })
+        submit_ok svc (seeded (700 + k)))
   in
   let clean = Service.shutdown svc ~timeout_s:30. in
   Alcotest.(check bool) "shutdown clean" true clean;
@@ -559,10 +642,14 @@ let test_service_stress_with_faults () =
         List.init 30 (fun k ->
             let spec =
               {
-                quick_spec with
-                Session.seed = 900 + k;
-                link_loss = (if k mod 3 = 0 then 0.2 else 0.);
-                crash_worker = k mod 7 = 0;
+                (with_scenario (fun s ->
+                     {
+                       s with
+                       seed = 900 + k;
+                       loss = (if k mod 3 = 0 then 0.2 else 0.);
+                     }))
+                with
+                Session.crash_worker = k mod 7 = 0;
                 wedge_ms = (if k mod 11 = 5 then 400. else 0.);
               }
             in
@@ -576,6 +663,117 @@ let test_service_stress_with_faults () =
         (Monitor.reconcile m ~in_flight:(Service.in_flight svc));
       Alcotest.(check bool) "no invariant violated" true (Monitor.ok m);
       Alcotest.(check int) "terminal = accepted" 30 (Monitor.terminal_total m))
+
+(* --- one execution path: a session is a Scenario.run_rep --- *)
+
+(* Run attempt [k] of [spec] in process, as a worker would. *)
+let exec_attempt ?(beat = ignore) spec k =
+  let t = Session.make ~id:1 ~now:0. ~notify:false ~conn:(-1) spec in
+  t.Session.attempts <- k;
+  match
+    Session.exec ~deadline_factor:1e6 ~round_budget_us:1e6 ~beat t
+  with
+  | Session.Finished (stats, _) -> stats
+  | _ -> Alcotest.fail "attempt did not finish"
+
+(* Attempt k's stats are exactly those of rep k-1 of Scenario.run: the
+   same stream, topology, source rule and fault plan. *)
+let check_parity what (scenario : Scenario.t) =
+  List.iter
+    (fun k ->
+      let st =
+        exec_attempt { Session.default_spec with Session.scenario } k
+      in
+      let r =
+        Scenario.run_rep scenario
+          (Rng.fork (Rng.create scenario.Scenario.seed) (k - 1))
+      in
+      let where = Printf.sprintf "%s attempt %d" what k in
+      Alcotest.(check int) (where ^ " rounds") r.Engine.rounds
+        st.Session.rounds;
+      Alcotest.(check int) (where ^ " informed") r.Engine.informed
+        st.Session.informed;
+      Alcotest.(check int) (where ^ " population") r.Engine.population
+        st.Session.population;
+      Alcotest.(check int) (where ^ " transmissions")
+        (Engine.transmissions r) st.Session.transmissions)
+    [ 1; 2 ]
+
+let test_session_parity () =
+  List.iter
+    (fun protocol ->
+      List.iter
+        (fun topology ->
+          List.iter
+            (fun seed ->
+              check_parity
+                (Printf.sprintf "%s/%s/seed %d" protocol topology seed)
+                { quick_scenario with protocol; topology; seed })
+            [ 3; 4 ])
+        [ "implicit-regular"; "regular"; "hypercube" ])
+    Scenario.protocols
+
+let test_session_parity_faults () =
+  let scenario =
+    {
+      quick_scenario with
+      topology = "regular";
+      protocol = "push-pull";
+      seed = 21;
+      loss = 0.1;
+      crash_rate = 0.01;
+      recover_rate = 0.1;
+      crash_adversary = "frontier";
+      crash_count = 4;
+      crash_round = 2;
+      partition_round = 2;
+      heal_round = 4;
+      churn_rate = 0.01;
+      max_epochs = 4;
+    }
+  in
+  check_parity "faults + churn + repair" scenario
+
+(* The session beats once per round and never before round 1: sampling
+   the graph is not charged to the watchdog. *)
+let test_session_beats_per_round () =
+  let beats = ref 0 in
+  let spec = with_scenario (fun s -> { s with topology = "regular" }) in
+  let st = exec_attempt ~beat:(fun () -> incr beats) spec 1 in
+  Alcotest.(check int) "one beat per round" st.Session.rounds !beats
+
+(* An attempt whose setup outlasts the heartbeat timeout but whose
+   rounds beat well inside it is slow to start, not wedged. *)
+let test_setup_not_charged_to_heartbeat () =
+  let mailbox = Mailbox.create ~capacity:4 in
+  let handled = Atomic.make 0 and failovers = Atomic.make 0 in
+  let handle ~beat _ =
+    Unix.sleepf 0.3;
+    for _ = 1 to 10 do
+      beat ();
+      Unix.sleepf 0.01
+    done;
+    Atomic.incr handled
+  in
+  let sup =
+    Supervisor.create
+      ~config:(Supervisor.config ~workers:1 ~heartbeat_timeout_s:0.1 ())
+      ~mailbox ~handle
+      ~on_failover:(fun _ -> Atomic.incr failovers)
+      ~on_restart:ignore ~on_deposed:ignore ()
+  in
+  let session = Session.make ~id:1 ~now:0. ~notify:false ~conn:(-1) quick_spec in
+  ignore (Mailbox.try_put mailbox session);
+  let scanned =
+    wait_for ~timeout_s:10. (fun () ->
+        Supervisor.scan sup ~now:(Unix.gettimeofday ());
+        Atomic.get handled = 1)
+  in
+  Supervisor.begin_drain sup;
+  Mailbox.close mailbox;
+  ignore (Supervisor.drain sup ~timeout_s:5.);
+  Alcotest.(check bool) "attempt finished" true scanned;
+  Alcotest.(check int) "never deposed" 0 (Atomic.get failovers)
 
 (* --- backoff gap sharing (service side of the Repair policy) --- *)
 
@@ -610,11 +808,22 @@ let () =
         [
           Alcotest.test_case "derivation" `Quick test_deadline_derivation;
         ] );
-      ( "spec", [ Alcotest.test_case "validation" `Quick test_validate_spec ] );
+      ( "spec",
+        [
+          Alcotest.test_case "validation" `Quick test_validate_spec;
+          Alcotest.test_case "cap churn_rate" `Quick
+            (test_admission_cap "churn_rate" ~at:"1" ~past:"1.5");
+          Alcotest.test_case "cap max_epochs" `Quick
+            (test_admission_cap "max_epochs" ~at:"64" ~past:"65");
+          Alcotest.test_case "cap repair_backoff" `Quick
+            (test_admission_cap "repair_backoff" ~at:"1024" ~past:"1025");
+        ] );
       ( "wire",
         [
           Alcotest.test_case "submit round trip" `Quick
             test_wire_submit_round_trip;
+          Alcotest.test_case "scenario keys round trip" `Quick
+            test_wire_scenario_keys;
           Alcotest.test_case "ops" `Quick test_wire_ops;
           Alcotest.test_case "hostile input" `Quick test_wire_hostile_input;
           Alcotest.test_case "linebuf framing" `Quick test_linebuf_framing;
@@ -623,6 +832,17 @@ let () =
         ] );
       ( "monitor",
         [ Alcotest.test_case "invariants" `Quick test_monitor_invariants ] );
+      ( "parity",
+        [
+          Alcotest.test_case "attempt k is rep k-1 of run_rep" `Quick
+            test_session_parity;
+          Alcotest.test_case "faults, churn and repair" `Quick
+            test_session_parity_faults;
+          Alcotest.test_case "one beat per round" `Quick
+            test_session_beats_per_round;
+          Alcotest.test_case "setup not charged to the heartbeat" `Slow
+            test_setup_not_charged_to_heartbeat;
+        ] );
       ( "service",
         [
           Alcotest.test_case "completes sessions" `Quick
