@@ -385,6 +385,8 @@ let bindings s =
       ("packed", string_of_bool s.packed);
     ]
 
+let keys = List.map fst (bindings { default with churn_rate = 0. })
+
 let to_text s =
   String.concat ""
     (List.map (fun (k, v) -> Printf.sprintf "%s = %s\n" k v) (bindings s))

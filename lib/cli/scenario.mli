@@ -171,6 +171,9 @@ val bindings : t -> (string * string) list
     assignment can express it. Folding the pairs through {!set_key}
     over {!default} rebuilds the scenario. *)
 
+val keys : string list
+(** Every key {!set_key} accepts, in {!bindings} order. *)
+
 val to_text : t -> string
 (** {!bindings} as [key = value] lines: [parse (to_text s) = Ok s] for
     every valid [s]. The one renderer of a scenario — chaos repro

@@ -18,6 +18,9 @@ let sample ~rng ~n ~p =
       let total = n * (n - 1) / 2 in
       let pos = ref (-1) in
       let continue = ref (total > 0) in
+      (* [pos] only grows, so the row cursor [u] (whose row starts at
+         index [acc]) only moves forward: O(n + m) overall. *)
+      let u = ref 0 and acc = ref 0 in
       while !continue do
         let skip = Dist.geometric rng ~p in
         pos := !pos + skip + 1;
@@ -25,7 +28,6 @@ let sample ~rng ~n ~p =
         else begin
           (* Invert the row-major index of the strict upper triangle. *)
           let idx = !pos in
-          let u = ref 0 and acc = ref 0 in
           while !acc + (n - 1 - !u) <= idx do
             acc := !acc + (n - 1 - !u);
             incr u

@@ -25,6 +25,7 @@ type conn = {
   fd_out : Unix.file_descr;
   lines : Wire.Linebuf.t;
   mutable alive : bool;
+  mutable reading : bool;  (** false once the client's input hit EOF *)
 }
 
 type state = {
@@ -107,7 +108,14 @@ let add_conn st ~fd_in ~fd_out =
   let cid = st.next_cid in
   st.next_cid <- cid + 1;
   let conn =
-    { cid; fd_in; fd_out; lines = Wire.Linebuf.create (); alive = true }
+    {
+      cid;
+      fd_in;
+      fd_out;
+      lines = Wire.Linebuf.create ();
+      alive = true;
+      reading = true;
+    }
   in
   Hashtbl.replace st.conns cid conn;
   conn
@@ -115,10 +123,12 @@ let add_conn st ~fd_in ~fd_out =
 let read_conn st conn ~stdio =
   let buf = Bytes.create 65536 in
   match Unix.read conn.fd_in buf 0 (Bytes.length buf) with
-  | 0 ->
-      (* EOF: on stdio that is the client's drain request. *)
-      close_conn st conn;
-      if stdio then Atomic.set st.shutdown_req true
+  | 0 when stdio ->
+      (* EOF on stdio is the client's drain request. Its output stays
+         open: the drain delivers in-flight sessions' events to it. *)
+      conn.reading <- false;
+      Atomic.set st.shutdown_req true
+  | 0 -> close_conn st conn
   | n ->
       let lines = Wire.Linebuf.feed conn.lines buf 0 n in
       List.iter (fun l -> handle_line st conn l) lines;
@@ -213,7 +223,9 @@ let run ?(config = Service.config ()) ?(drain_timeout_s = 30.)
     else begin
       let fds =
         (match listener with Some (fd, _) -> [ fd ] | None -> [])
-        @ Hashtbl.fold (fun _ c acc -> c.fd_in :: acc) st.conns []
+        @ Hashtbl.fold
+            (fun _ c acc -> if c.reading then c.fd_in :: acc else acc)
+            st.conns []
       in
       match Unix.select fds [] [] 0.01 with
       | readable, _, _ ->

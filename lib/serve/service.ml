@@ -397,6 +397,7 @@ let create ?(on_terminal = fun _ -> ()) cfg =
            ~restart_window_s:cfg.restart_window_s ())
       ~mailbox:t.mailbox
       ~handle:(fun ~beat s -> handle_attempt t ~beat s)
+      ~setup_grace:(fun s -> Session.setup_grace_s s.Session.spec)
       ~on_failover:(fun s -> requeue_failover t s)
       ~on_restart:(fun () -> Monitor.note_restart t.monitor)
       ~on_deposed:(fun () -> Monitor.incr t.monitor `Deposed)

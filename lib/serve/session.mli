@@ -42,7 +42,8 @@ val admit : Rumor_cli.Scenario.t -> (Rumor_cli.Scenario.t, string) result
     {!Rumor_cli.Scenario.to_text}, so a record built in code is
     range-checked like a file — then the service's admission caps on
     every key that scales one session's memory or work: [n] (by
-    topology kind), [d], [alpha], [fanout] and [burst_len] at most 64,
+    topology kind; 2048 for [complete]), [d], [alpha], [fanout] and
+    [burst_len] at most 64,
     [loss] at most 0.9, [burst_loss] at most 0.5, [churn_rate] at most
     1, [max_epochs] at most 64, [repair_backoff] at most 1024. *)
 
@@ -96,8 +97,12 @@ val deadline_s :
   deadline_factor:float -> round_budget_us:float -> spec -> float
 (** The per-attempt wall budget in seconds: the spec's explicit
     [deadline_ms] if given, else [factor * ceil_log2 n *
-    round_budget_us]. The budget runs from the attempt's first round;
-    sampling the graph before it is not charged. *)
+    round_budget_us]. An explicit budget runs from the attempt's
+    start, the derived one from its first round. *)
+
+val setup_grace_s : spec -> float
+(** How long an attempt may take to reach its first round before the
+    watchdog deposes its worker: 2 s plus 2 µs per [n * d]. *)
 
 type attempt_outcome =
   | Finished of run_stats * bool  (** stats, success (all live informed) *)
@@ -123,6 +128,5 @@ val exec :
     reproducible from the spec alone. The graph is sampled inside the
     attempt. [observe] calls [beat] once per round — the watchdog's
     evidence that the worker is slow, not wedged — and raises to
-    cancel or to end an attempt past its deadline; both clocks start
-    at the first round.
+    cancel or to end an attempt past its deadline.
     @raise Crash_injected when the spec asks for it (first attempt). *)

@@ -5,10 +5,10 @@
    is ignored, its in-flight session failed over to the pool, and a
    replacement spawned in its slot. The watchdog tells wedged from
    merely slow by heartbeat staleness: workers beat once per simulated
-   round, and only a *busy* worker that has beaten in its current
-   attempt can be stale (an idle worker blocked on the mailbox has
-   nothing to beat about, and an attempt still sampling its graph has
-   not reached a round yet).
+   round, and only a *busy* worker can be stale (an idle worker blocked
+   on the mailbox has nothing to beat about). Setup before round 1
+   beats nothing, so taking a session arms the heartbeat its setup
+   grace ahead.
 
    Crashes are simpler: the domain body catches everything, so a crash
    leaves [exited] set with [busy] still holding the session — the scan
@@ -50,6 +50,7 @@ type t = {
   cfg : config;
   mailbox : Session.t Mailbox.t;
   handle : beat:(unit -> unit) -> Session.t -> unit;
+  setup_grace : Session.t -> float;
   on_failover : Session.t -> unit;
   on_restart : unit -> unit;
   on_deposed : unit -> unit;
@@ -68,11 +69,9 @@ let worker_body t w () =
       match Mailbox.take t.mailbox with
       | None -> ()
       | Some s ->
-          (* Staleness starts at the attempt's first beat, its first
-             round: setup (graph sampling) beats nothing and is not a
-             wedge. Disarm before publishing [busy], so the scan never
-             pairs this session with the previous one's last beat. *)
-          Atomic.set w.beat_at Float.infinity;
+          (* Arm before publishing [busy], so the scan never pairs
+             this session with the previous one's last beat. *)
+          Atomic.set w.beat_at (Unix.gettimeofday () +. t.setup_grace s);
           Atomic.set w.busy (Some s);
           t.handle ~beat s;
           Atomic.set w.busy None;
@@ -101,13 +100,14 @@ let spawn_locked t slot gen =
   w.domain <- Some (Domain.spawn (worker_body t w));
   w
 
-let create ~config:cfg ~mailbox ~handle ~on_failover ~on_restart ~on_deposed ()
-    =
+let create ~config:cfg ~mailbox ~handle ~setup_grace ~on_failover ~on_restart
+    ~on_deposed () =
   let t =
     {
       cfg;
       mailbox;
       handle;
+      setup_grace;
       on_failover;
       on_restart;
       on_deposed;

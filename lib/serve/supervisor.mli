@@ -13,10 +13,9 @@
       zombie's eventual output is discarded via the session's stale
       attempt token. Detection is by heartbeat staleness — workers beat
       once per simulated round, and only a busy worker is ever judged
-      (an idle worker blocked on the mailbox cannot wedge). Staleness
-      starts at an attempt's first beat: the setup before round 1
-      (graph sampling, seconds at [n = 2^20]) is never judged, so a
-      worker that wedges there is not deposed.
+      (an idle worker blocked on the mailbox cannot wedge). Setup
+      before round 1 beats nothing: taking [s] arms the heartbeat
+      [setup_grace s] seconds ahead.
 
     Respawns pass through a restart-intensity circuit breaker: more
     than [max_restarts] inside [restart_window_s] opens the breaker and
@@ -50,6 +49,7 @@ val create :
   config:config ->
   mailbox:Session.t Mailbox.t ->
   handle:(beat:(unit -> unit) -> Session.t -> unit) ->
+  setup_grace:(Session.t -> float) ->
   on_failover:(Session.t -> unit) ->
   on_restart:(unit -> unit) ->
   on_deposed:(unit -> unit) ->

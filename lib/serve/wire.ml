@@ -86,40 +86,32 @@ let parse_submit fs =
           Error (Printf.sprintf "duplicate field %S" key)
         else begin
           Hashtbl.add seen key ();
-          match v with
-          | Json.Null -> Ok s
-          | _ when List.mem key service_fields -> Ok s
-          | _ when List.mem key replication_keys ->
-              Error
-                (Printf.sprintf "field %S: a session runs one repetition" key)
-          | _ ->
-              let* value = scenario_value key v in
-              Result.map_error
-                (fun e -> Printf.sprintf "field %S: %s" key e)
-                (Scenario.set_key s ~key ~value)
+          if List.mem key service_fields then Ok s
+          else if List.mem key replication_keys then
+            Error (Printf.sprintf "field %S: a session runs one repetition" key)
+          else if v = Json.Null then
+            (* null keeps the default, but only for a key that exists *)
+            if List.mem key Scenario.keys then Ok s
+            else Error (Printf.sprintf "unknown field %S" key)
+          else
+            let* value = scenario_value key v in
+            Result.map_error
+              (fun e -> Printf.sprintf "field %S: %s" key e)
+              (Scenario.set_key s ~key ~value)
         end)
       (Ok Scenario.default) fs
   in
-  let d = Session.default_spec in
-  let* crash_worker =
-    opt fs "crash_worker" as_bool ~default:d.Session.crash_worker
-  in
-  let* wedge_ms = opt fs "wedge_ms" as_float ~default:d.Session.wedge_ms in
-  let* deadline_ms =
-    match field fs "deadline_ms" with
-    | None | Some Json.Null -> Ok None
-    | Some v ->
-        let* f = as_float "deadline_ms" v in
-        Ok (Some f)
-  in
+  let some conv name v = Result.map Option.some (conv name v) in
+  let* crash_worker = opt fs "crash_worker" as_bool ~default:false in
+  let* wedge_ms = opt fs "wedge_ms" as_float ~default:0. in
+  let* deadline_ms = opt fs "deadline_ms" (some as_float) ~default:None in
   let* trace = opt fs "trace" as_bool ~default:false in
-  let* client_ref =
-    match field fs "ref" with
-    | None | Some Json.Null -> Ok None
-    | Some v ->
-        let* r = as_string "ref" v in
-        if String.length r > 256 then Error "field \"ref\" too long (max 256)"
-        else Ok (Some r)
+  let* client_ref = opt fs "ref" (some as_string) ~default:None in
+  let* () =
+    match client_ref with
+    | Some r when String.length r > 256 ->
+        Error "field \"ref\" too long (max 256)"
+    | _ -> Ok ()
   in
   let* notify = opt fs "notify" as_bool ~default:false in
   let* spec =
@@ -129,19 +121,11 @@ let parse_submit fs =
   Ok (Submit (spec, notify))
 
 (* The inverse of the scenario half of [parse_submit]: the scenario's
-   own rendering, one JSON field per key, numbers typed as numbers. *)
+   own rendering, one JSON string field per key. *)
 let scenario_fields s =
-  let json_of v =
-    match int_of_string_opt v with
-    | Some i -> Json.Int i
-    | None -> (
-        match float_of_string_opt v with
-        | Some f -> Json.Float f
-        | None -> Json.String v)
-  in
   List.filter_map
     (fun (k, v) ->
-      if List.mem k replication_keys then None else Some (k, json_of v))
+      if List.mem k replication_keys then None else Some (k, Json.String v))
     (Scenario.bindings s)
 
 let parse_id fs op =

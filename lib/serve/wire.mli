@@ -7,7 +7,8 @@
     with {!Rumor_cli.Scenario.set_key} over
     {!Rumor_cli.Scenario.default} — same names, same defaults, same
     range checks. [reps] and [domains] are refused: a session is one
-    repetition. This is the hostile boundary: parsing caps nesting
+    repetition. A [null] value keeps a field's default; it is still
+    refused for a key that does not exist. This is the hostile boundary: parsing caps nesting
     depth, whitelists ops, rejects unknown keys and duplicate fields
     (a misspelled field is an error, not silently ignored), and
     applies the service's admission caps via
@@ -35,7 +36,8 @@ val parse_request : string -> (request, string) result
 
 val scenario_fields : Rumor_cli.Scenario.t -> (string * Rumor_obs.Json.t) list
 (** A scenario as submit fields: {!Rumor_cli.Scenario.bindings} minus
-    [reps]/[domains], numbers as JSON numbers. A submit carrying these
+    [reps]/[domains], every value as the JSON string of its file
+    rendering. A submit carrying these
     fields parses back to the same scenario, up to [reps]/[domains]. *)
 
 (** {2 Response encoders} *)

@@ -135,6 +135,42 @@ let test_gnp_edge_count () =
     (abs_float (m -. expect) < 5. *. sd);
   Alcotest.(check bool) "simple" true (Graph.is_simple g)
 
+(* The sampler walks the upper triangle with a forward-only row
+   cursor; it must pick exactly the pairs a from-scratch inversion of
+   each skip position picks, on the same stream. *)
+let test_gnp_matches_reference () =
+  let reference ~rng ~n ~p =
+    let total = n * (n - 1) / 2 in
+    let pos = ref (-1) and edges = ref [] in
+    let continue = ref true in
+    while !continue do
+      pos := !pos + Rumor_rng.Dist.geometric rng ~p + 1;
+      if !pos >= total then continue := false
+      else begin
+        let u = ref 0 and acc = ref 0 in
+        while !acc + (n - 1 - !u) <= !pos do
+          acc := !acc + (n - 1 - !u);
+          incr u
+        done;
+        edges := (!u, !u + 1 + (!pos - !acc)) :: !edges
+      end
+    done;
+    Graph.of_edges ~n (List.rev !edges)
+  in
+  List.iter
+    (fun (n, p, seed) ->
+      let g = Gnp.sample ~rng:(Rng.create seed) ~n ~p in
+      let r = reference ~rng:(Rng.create seed) ~n ~p in
+      let edges g =
+        let l = ref [] in
+        Graph.iter_edges g (fun u v -> l := (u, v) :: !l);
+        List.sort compare !l
+      in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "n=%d p=%g" n p)
+        (edges r) (edges g))
+    [ (2, 0.5, 1); (50, 0.3, 2); (300, 0.02, 3); (1000, 0.004, 4) ]
+
 let test_gnp_invalid () =
   let rng = Rng.create 12 in
   Alcotest.check_raises "p out of range"
@@ -337,6 +373,8 @@ let () =
           Alcotest.test_case "extremes" `Quick test_gnp_extremes;
           Alcotest.test_case "edge count" `Quick test_gnp_edge_count;
           Alcotest.test_case "invalid" `Quick test_gnp_invalid;
+          Alcotest.test_case "matches the reference walk" `Quick
+            test_gnp_matches_reference;
           Alcotest.test_case "gnm exact" `Quick test_gnm_exact;
           Alcotest.test_case "gnm full" `Quick test_gnm_full;
           Alcotest.test_case "gnm invalid" `Quick test_gnm_invalid;

@@ -12,6 +12,7 @@ module Monitor = Rumor_serve.Monitor
 module Service = Rumor_serve.Service
 module Wire = Rumor_serve.Wire
 module Supervisor = Rumor_serve.Supervisor
+module Server = Rumor_serve.Server
 module Scenario = Rumor_cli.Scenario
 module Engine = Rumor_sim.Engine
 module Rng = Rumor_rng.Rng
@@ -201,6 +202,9 @@ let test_validate_spec () =
   bad "n beyond the implicit frontier"
     (sc (fun s -> { s with n = Session.max_implicit_n + 2 }));
   bad "odd n on implicit-regular" (sc (fun s -> { s with n = 257 }));
+  ok (sc (fun s -> { s with topology = "complete"; n = 2048 }));
+  bad "complete past its cap"
+    (sc (fun s -> { s with topology = "complete"; n = 2049 }));
   bad "degree" (sc (fun s -> { s with d = 0 }));
   bad "unknown protocol" (sc (fun s -> { s with protocol = "udp" }));
   bad "unknown topology" (sc (fun s -> { s with topology = "moebius" }));
@@ -324,6 +328,15 @@ let test_wire_hostile_input () =
   rejects "reps: a session is one repetition" {|{"op":"submit","reps":3}|};
   rejects "domains" {|{"op":"submit","domains":2}|};
   rejects "duplicate field" {|{"op":"submit","n":512,"n":1024}|};
+  rejects "complete past its cap" {|{"op":"submit","topology":"complete","n":4096}|};
+  rejects "null old field name" {|{"op":"submit","link_loss":null}|};
+  rejects "null reps" {|{"op":"submit","reps":null}|};
+  rejects "null unknown field" {|{"op":"submit","bogus":null}|};
+  (match Wire.parse_request {|{"op":"submit","loss":null,"churn_rate":null}|} with
+  | Ok (Wire.Submit (spec, _)) ->
+      Alcotest.(check bool) "null keeps the defaults" true
+        (spec.Session.scenario = Scenario.default)
+  | _ -> Alcotest.fail "null on a scenario key should keep its default");
   rejects "non-scalar value" {|{"op":"submit","n":[512]}|};
   rejects "cross-key check"
     {|{"op":"submit","partition_round":5,"heal_round":3}|};
@@ -742,38 +755,125 @@ let test_session_beats_per_round () =
   let st = exec_attempt ~beat:(fun () -> incr beats) spec 1 in
   Alcotest.(check int) "one beat per round" st.Session.rounds !beats
 
-(* An attempt whose setup outlasts the heartbeat timeout but whose
-   rounds beat well inside it is slow to start, not wedged. *)
-let test_setup_not_charged_to_heartbeat () =
+(* Run one session through a one-worker pool with a 0.1 s heartbeat
+   timeout; count failovers until [handle] returns or [timeout_s]. *)
+let supervise_one ~setup_grace ~timeout_s handle =
   let mailbox = Mailbox.create ~capacity:4 in
   let handled = Atomic.make 0 and failovers = Atomic.make 0 in
-  let handle ~beat _ =
-    Unix.sleepf 0.3;
-    for _ = 1 to 10 do
-      beat ();
-      Unix.sleepf 0.01
-    done;
+  let handle ~beat s =
+    handle ~beat s;
     Atomic.incr handled
   in
   let sup =
     Supervisor.create
       ~config:(Supervisor.config ~workers:1 ~heartbeat_timeout_s:0.1 ())
       ~mailbox ~handle
+      ~setup_grace:(fun _ -> setup_grace)
       ~on_failover:(fun _ -> Atomic.incr failovers)
       ~on_restart:ignore ~on_deposed:ignore ()
   in
   let session = Session.make ~id:1 ~now:0. ~notify:false ~conn:(-1) quick_spec in
   ignore (Mailbox.try_put mailbox session);
-  let scanned =
-    wait_for ~timeout_s:10. (fun () ->
+  let finished =
+    wait_for ~timeout_s (fun () ->
         Supervisor.scan sup ~now:(Unix.gettimeofday ());
-        Atomic.get handled = 1)
+        Atomic.get handled = 1 || Atomic.get failovers > 0)
   in
-  Supervisor.begin_drain sup;
-  Mailbox.close mailbox;
-  ignore (Supervisor.drain sup ~timeout_s:5.);
-  Alcotest.(check bool) "attempt finished" true scanned;
-  Alcotest.(check int) "never deposed" 0 (Atomic.get failovers)
+  (finished, Atomic.get failovers, fun () ->
+      Supervisor.begin_drain sup;
+      Mailbox.close mailbox;
+      ignore (Supervisor.drain sup ~timeout_s:5.))
+
+(* An attempt whose setup outlasts the heartbeat timeout, but not its
+   setup grace, and whose rounds beat well inside the timeout is slow
+   to start, not wedged. *)
+let test_setup_not_charged_to_heartbeat () =
+  let finished, failovers, stop =
+    supervise_one ~setup_grace:2. ~timeout_s:10. (fun ~beat _ ->
+        Unix.sleepf 0.3;
+        for _ = 1 to 10 do
+          beat ();
+          Unix.sleepf 0.01
+        done)
+  in
+  stop ();
+  Alcotest.(check bool) "attempt finished" true finished;
+  Alcotest.(check int) "never deposed" 0 failovers
+
+(* A setup that never reaches a round is deposed once its grace runs
+   out: nothing before round 1 may hold a worker for ever. *)
+let test_setup_past_grace_deposed () =
+  let release = Atomic.make false in
+  let t0 = Unix.gettimeofday () in
+  let deposed, failovers, stop =
+    supervise_one ~setup_grace:0.2 ~timeout_s:5. (fun ~beat:_ _ ->
+        while not (Atomic.get release) do
+          Unix.sleepf 0.005
+        done)
+  in
+  let waited = Unix.gettimeofday () -. t0 in
+  Atomic.set release true;
+  stop ();
+  Alcotest.(check bool) "deposed" true deposed;
+  Alcotest.(check int) "failed over once" 1 failovers;
+  Alcotest.(check bool) "not before grace + timeout" true (waited >= 0.3)
+
+(* An explicit deadline_ms covers the whole attempt, setup included:
+   a 1 ms budget is spent sampling a 2^16-node graph, so the attempt
+   ends at its first round's check. A budget started at round 1 would
+   pass that check and end a round later. *)
+let test_explicit_deadline_covers_setup () =
+  let spec =
+    {
+      (with_scenario (fun s -> { s with topology = "regular"; n = 65536 }))
+      with
+      Session.deadline_ms = Some 1.;
+    }
+  in
+  let t = Session.make ~id:1 ~now:0. ~notify:false ~conn:(-1) spec in
+  t.Session.attempts <- 1;
+  let beats = ref 0 in
+  let beat () = incr beats in
+  match Session.exec ~deadline_factor:6. ~round_budget_us:2000. ~beat t with
+  | Session.Deadline_expired ->
+      Alcotest.(check int) "expired at the first round" 1 !beats
+  | _ -> Alcotest.fail "an explicit deadline should count the setup"
+
+(* EOF on the primary connection drains the server, and the drain
+   still delivers the events of sessions in flight at the EOF. *)
+let test_server_eof_delivers_events () =
+  let client, server_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let server =
+    Thread.create
+      (fun () -> Server.run ~quiet:true ~signals:false (Server.Fd server_fd))
+      ()
+  in
+  let line =
+    {|{"op":"submit","n":65536,"topology":"regular","protocol":"push-pull","notify":true}
+|}
+  in
+  ignore (Unix.write_substring client line 0 (String.length line));
+  Unix.shutdown client Unix.SHUTDOWN_SEND;
+  let buf = Buffer.create 4096 and chunk = Bytes.create 4096 in
+  let rec read_all () =
+    match Unix.read client chunk 0 (Bytes.length chunk) with
+    | 0 -> ()
+    | k ->
+        Buffer.add_subbytes buf chunk 0 k;
+        read_all ()
+  in
+  read_all ();
+  Thread.join server;
+  Unix.close client;
+  let events =
+    String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l ->
+           match Json.of_string l with
+           | Ok j -> Json.member "event" j = Some (Json.String "session")
+           | Error _ -> false)
+  in
+  Alcotest.(check int) "the in-flight session's event arrives" 1
+    (List.length events)
 
 (* --- backoff gap sharing (service side of the Repair policy) --- *)
 
@@ -842,6 +942,11 @@ let () =
             test_session_beats_per_round;
           Alcotest.test_case "setup not charged to the heartbeat" `Slow
             test_setup_not_charged_to_heartbeat;
+          Alcotest.test_case "setup past its grace is deposed" `Slow
+            test_setup_past_grace_deposed;
+          Alcotest.test_case "explicit deadline covers setup" `Quick
+            test_explicit_deadline_covers_setup;
+
         ] );
       ( "service",
         [
@@ -863,6 +968,8 @@ let () =
             test_service_shedding_tiers;
           Alcotest.test_case "exact retry budget" `Slow
             test_service_exact_retry_budget;
+          Alcotest.test_case "stdio EOF still delivers events" `Quick
+            test_server_eof_delivers_events;
           Alcotest.test_case "clean shutdown" `Quick
             test_service_shutdown_clean;
           Alcotest.test_case "stress with faults" `Slow
